@@ -69,6 +69,14 @@ DEFAULT_PORT = 9633
 DEFAULT_CAPACITY_BPS = 1_000_000.0
 DEFAULT_SECRET = "netfence-dev"
 
+#: One event-loop timer granule: ``EpollSelector.select`` rounds every
+#: positive timeout up to a whole millisecond.  It is the credit the link
+#: clock keeps, so a wake-up that is up to a granule late is repaid, not lost.
+TIMER_GRANULE_S = 0.001
+
+#: Packets the drain transmits back to back before it hands the loop back.
+DRAIN_BURST = 16
+
 
 def percentiles_ms(samples: Sequence[float]) -> Dict[str, float]:
     """p50/p90/p99/max of a latency sample set, in milliseconds."""
@@ -90,6 +98,32 @@ def percentiles_ms(samples: Sequence[float]) -> Dict[str, float]:
     }
 
 
+class _LinkClock:
+    """When the wire is next free: the egress link's serialisation clock.
+
+    Each packet advances ``free_at`` by its transmit time (as ``Link`` and
+    the rate limiter's ``_last_departure`` do) and the next may leave once
+    ``free_at`` has passed.  A clock that fell behind — idle link, late timer
+    — keeps one timer granule of credit, so the bytes released in any window
+    ``T`` stay within ``capacity·(T + TIMER_GRANULE_S)/8`` plus one packet.
+
+    Pure arithmetic; ``now`` counts from an origin near the caller's start
+    (at epoch magnitude a float cannot hold a 1 µs transmit time).
+    """
+
+    __slots__ = ("capacity_bps", "free_at")
+
+    def __init__(self, capacity_bps: float) -> None:
+        self.capacity_bps = capacity_bps
+        self.free_at = float("-inf")
+
+    def reserve(self, now: float, size_bytes: int) -> float:
+        """Book one packet leaving at ``now``; seconds until the next may."""
+        self.free_at = (max(self.free_at, now - TIMER_GRANULE_S)
+                        + size_bytes * 8.0 / self.capacity_bps)
+        return max(self.free_at - now, 0.0)
+
+
 class _WireNeighbor:
     """The far end of the egress link: the UDP socket."""
 
@@ -100,7 +134,8 @@ class _EgressLink:
     """The slice of the :class:`~repro.simulator.link.Link` surface that
     :class:`NetFenceRouter` needs: a name to register with the domain, a
     queue to watch, a capacity and a delivered-bytes counter for the
-    attack-detection loop.  Transmission itself is the drain task's job."""
+    attack-detection loop.  The drain task transmits and counts the bytes;
+    :class:`_LinkClock` says when."""
 
     def __init__(self, name: str, capacity_bps: float, queue: NetFenceChannelQueue) -> None:
         self.name = name
@@ -179,8 +214,12 @@ class LivePolicer(asyncio.DatagramProtocol):
         self.addrs: Dict[str, Tuple[str, int]] = {}
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.accepting = True
-        self._drain_wake = asyncio.Event()
-        self._drain_task: Optional[asyncio.Task] = None
+        self._link_clock = _LinkClock(capacity_bps)
+        #: The link clock counts from here (see :class:`_LinkClock`).
+        self._link_origin = clock.now
+        #: What a parked drain task waits on; an enqueue resolves it.
+        self._drain_waiter: Optional["asyncio.Future[None]"] = None
+        self._drain_task: Optional["asyncio.Task[None]"] = None
         #: Recent per-packet one-way queueing latencies (created_at → egress).
         self.latencies: Deque[float] = collections.deque(maxlen=4096)
         #: Delivered bytes per source host — the live legit-share SLO input.
@@ -218,6 +257,19 @@ class LivePolicer(asyncio.DatagramProtocol):
             "netfence_serve_latency_seconds",
             help="per-packet queueing latency (created_at to egress)",
             buckets=(0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5))
+        # The pacer's account of itself: one observation per timer wake-up
+        # or per yield, never per packet.
+        self._pace_lag = self.registry.histogram(
+            "netfence_serve_pace_lag_seconds",
+            help="departure after a pacing timer minus link-clock departure",
+            buckets=(0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.1))
+        self._drain_yields = self.registry.counter(
+            "netfence_serve_drain_yields_total",
+            help="full back-to-back bursts that handed the loop back")
+        self._link_ahead = self.registry.watch(
+            "netfence_serve_link_ahead_seconds",
+            lambda: max(self._link_clock.free_at - self._link_now(), 0.0),
+            help="transmit time booked on the egress link beyond now")
 
     # -- asyncio protocol ---------------------------------------------------------
     def connection_made(self, transport: asyncio.DatagramTransport) -> None:  # pragma: no cover - asyncio glue
@@ -293,36 +345,59 @@ class LivePolicer(asyncio.DatagramProtocol):
             return
         bneck.packets_forwarded += 1
         if self.queue.enqueue(packet):
-            self._drain_wake.set()
+            self._wake_drain()
         elif self._spans is not None:
             # The channel queue dropped it (recorded in queue stats, and —
             # for regular packets — fed back into attack detection).
             self._span_event("serve.egress", packet, status="drop",
                              attrs={"stage": "queue"})
 
+    def _link_now(self) -> float:
+        return self.clock.now - self._link_origin
+
+    def _wake_drain(self) -> None:
+        waiter = self._drain_waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
     async def _drain(self) -> None:
-        """Dequeue at link speed; re-encode and transmit each packet."""
-        queue = self.queue
+        """Dequeue, re-encode and transmit as the link clock allows."""
+        link = self._link_clock
+        burst = 0
         while True:
-            packet = queue.dequeue()
+            packet = self.queue.dequeue()
             if packet is None:
-                wait = queue.time_until_ready()
-                if wait is not None:
-                    # Only budget-capped request traffic remains.
-                    await asyncio.sleep(min(wait, 0.05))
-                    continue
-                if not self.accepting:
+                wait = self.queue.time_until_ready()
+                if wait is None and not self.accepting:
                     return  # drained
-                self._drain_wake.clear()
-                if len(queue):
-                    continue  # raced with an enqueue
+                # Empty, or only budget-capped request traffic remains: park
+                # until an enqueue, shutdown or the budget's one timer.
+                waiter = asyncio.get_running_loop().create_future()
+                self._drain_waiter = waiter
+                timer = (None if wait is None
+                         else self.clock.schedule(wait, self._wake_drain))
                 try:
-                    await asyncio.wait_for(self._drain_wake.wait(), timeout=0.25)
-                except asyncio.TimeoutError:
-                    pass
+                    await waiter
+                finally:
+                    self._drain_waiter = None
+                    self.clock.cancel(timer)
+                burst = 0
                 continue
             self._deliver(packet)
-            await asyncio.sleep(packet.size_bytes * 8.0 / self.capacity_bps)
+            wait = link.reserve(self._link_now(), packet.size_bytes)
+            burst += 1
+            if wait > 0.0:
+                # The wire is busy for longer than the credit covers; a late
+                # wake-up is repaid from the credit by the next reserve.
+                await asyncio.sleep(wait)
+                self._pace_lag.observe(self._link_now() - link.free_at)
+                burst = 0
+            elif burst >= DRAIN_BURST:
+                # Never ahead of the link (CPU-bound): datagrams and other
+                # timers still get their turn.
+                self._drain_yields.inc()
+                await asyncio.sleep(0)
+                burst = 0
 
     def _deliver(self, packet: Packet) -> None:
         now = self.clock.now
@@ -383,12 +458,15 @@ class LivePolicer(asyncio.DatagramProtocol):
     async def shutdown(self, drain_timeout: float = 2.0) -> None:
         """Stop accepting datagrams, drain the queue, cancel timers."""
         self.accepting = False
-        self._drain_wake.set()
-        if self._drain_task is not None:
+        self._wake_drain()
+        task = self._drain_task
+        if task is not None and not task.cancelled():
+            # The backlog leaves at link rate until the timeout, where wait_for
+            # cancels the drain, pacing timer included, and awaits its end.
             try:
-                await asyncio.wait_for(self._drain_task, timeout=drain_timeout)
+                await asyncio.wait_for(task, timeout=drain_timeout)
             except asyncio.TimeoutError:
-                self._drain_task.cancel()
+                pass
         self.access._adjust_timer.stop()
         self.bottleneck._detect_timer.stop()
         for limiter in self.access.rate_limiters.values():
@@ -477,6 +555,11 @@ class LivePolicer(asyncio.DatagramProtocol):
                 "regular_dropped": self.queue.regular_queue.stats.dropped,
             },
             "latency_ms": percentiles_ms(self.latencies),
+            "drain": {
+                "timer_wakeups": self._pace_lag.count,
+                "yields": int(self._drain_yields.collect()),
+                "link_ahead_ms": round(self._link_ahead.collect() * 1000.0, 3),
+            },
             "tx_bytes_by_src": dict(self.tx_bytes_by_src),
             **self.counters,
         }

@@ -9,6 +9,7 @@ from repro.core.bottleneck import NetFenceRouter, netfence_queue_factory
 from repro.core.domain import NetFenceDomain
 from repro.core.endhost import NetFenceEndHost
 from repro.core.params import NetFenceParams
+from repro.runtime.serve import TIMER_GRANULE_S, _LinkClock
 from repro.simulator.engine import Simulator
 from repro.simulator.topology import Topology
 
@@ -94,3 +95,54 @@ def fast_params() -> NetFenceParams:
         detection_interval=0.2,
         feedback_expiration=2.0,
     )
+
+
+class ScriptedLink:
+    """A ``_LinkClock`` driven on scripted time, as ``LivePolicer._drain`` does.
+
+    A FIFO backlog: every packet leaves as soon as it has arrived and the
+    wait the previous ``reserve`` asked for is over.  A positive wait is a
+    timer, which fires ``late`` seconds after its deadline.
+    """
+
+    def __init__(self, capacity_bps: float, late: float = 0.0) -> None:
+        self.capacity_bps = capacity_bps
+        self.late = late
+        self.clock = _LinkClock(capacity_bps)
+        self.ready_at = float("-inf")
+        self.timers = 0
+        #: (departure time, size_bytes) of every packet released.
+        self.releases = []
+
+    def offer(self, arrival: float, size_bytes: int) -> float:
+        """Release one packet; returns the wait ``reserve`` asked for."""
+        now = max(arrival, self.ready_at)
+        self.releases.append((now, size_bytes))
+        wait = self.clock.reserve(now, size_bytes)
+        self.ready_at = now + wait
+        if wait > 0.0:
+            self.timers += 1
+            self.ready_at += self.late
+        return wait
+
+    def worst_window_excess_bytes(self) -> float:
+        """Largest excess, over every window that starts and ends at a
+        departure, of the bytes released in it over the conformance bound
+        ``capacity * (T + granule) / 8`` plus the window's last packet."""
+        times = [t for t, _ in self.releases]
+        sizes = [s for _, s in self.releases]
+        worst = float("-inf")
+        for i in range(len(times)):
+            total = 0
+            for j in range(i, len(times)):
+                total += sizes[j]
+                allowed = (self.capacity_bps * (times[j] - times[i] + TIMER_GRANULE_S)
+                           / 8.0 + sizes[j])
+                worst = max(worst, total - allowed)
+        return worst
+
+
+@pytest.fixture(scope="session")
+def scripted_link():
+    """Factory for :class:`ScriptedLink` (session scope: hypothesis-safe)."""
+    return ScriptedLink
