@@ -2,7 +2,9 @@
 
 Four microbenches time the simulator's per-packet building blocks in
 isolation (event schedule/dispatch, link transmit, DRR enqueue/dequeue, and
-the rate-limiter charge), and one end-to-end gate times a fig12 ``--quick``
+the rate-limiter charge), a fifth reports the live policer's per-datagram
+layers (wire decode/encode, one MAC, one validation miss) without gating
+them, and one end-to-end gate times a fig12 ``--quick``
 single point against the committed baseline in
 ``benchmarks/data/hotpath_baseline.json``:
 
@@ -31,11 +33,16 @@ import time
 
 from bench_artifact import emit as _emit
 from repro import perf
+from repro.core.feedback import Feedback, FeedbackAction, FeedbackMode, FeedbackStamper
+from repro.core.header import HEADER_KEY, NetFenceHeader
 from repro.core.params import NetFenceParams
 from repro.core.ratelimiter import PASS, RegularRateLimiter
+from repro.crypto.keys import AccessRouterSecret, ASKeyRegistry
+from repro.crypto.mac import compute_mac
 from repro.experiments import fig12_deployment
 from repro.experiments.sweep import execute_spec
 from repro.analysis.rows import json_safe, rows_to_dicts
+from repro.runtime.codec import decode_frame, encode_packet
 from repro.simulator.engine import Simulator
 from repro.simulator.fairqueue import DRRQueue, HierarchicalFairQueue
 from repro.simulator.link import Link
@@ -198,6 +205,63 @@ def test_ratelimiter_charge_microbench():
     assert limiter.stats.passed == n
     assert not released  # nothing was ever cached
     assert rate >= MIN_CHARGE_PER_S
+
+
+def _best_us(fn, calls, rounds=5):
+    """Best-of-``rounds`` wall time of ``fn()`` per call it makes, in µs."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return round(best / calls * 1e6, 3)
+
+
+def test_live_ingress_microbench():
+    """The live policer's per-datagram layers: decode, encode, MAC, validate.
+
+    Report-only (ROADMAP item 1: no new wall-clock gates in tier-1); the rows
+    sit next to the simulator's in ``BENCH_sweep.json#hotpath`` so a change
+    to the ingress path shows up per layer.  ``validate_miss_us`` is what a
+    forged, fresh ``nop`` costs: freshness, memo miss, one MAC, one compare.
+    """
+    now = 1_000_000_000.5
+    secret = AccessRouterSecret("Ra", master=b"hotpath")
+    stamper = FeedbackStamper(secret, ASKeyRegistry(master=b"hotpath"), "AS-edge")
+    n = 5_000
+    packets = [
+        Packet(src=f"host{i % 64:02d}", dst="victim", size_bytes=125,
+               flow_id=f"udp:host{i % 64:02d}->victim", created_at=now,
+               priority=10, src_as="AS-edge", uid=i + 1,
+               headers={HEADER_KEY: NetFenceHeader(
+                   stamper.stamp_incr(f"host{i % 64:02d}", "victim", "L", now),
+                   priority=10)})
+        for i in range(n)
+    ]
+    frames = [encode_packet(packet) for packet in packets]
+    forged = [Feedback(FeedbackMode.NOP, None, FeedbackAction.INCR, now,
+                       i.to_bytes(4, "big")) for i in range(n)]
+    key = secret.current(now)
+    verdicts = []
+    rows = {
+        "codec_decode_us": _best_us(
+            lambda: [decode_frame(frame) for frame in frames], n),
+        "codec_encode_us": _best_us(
+            lambda: [encode_packet(packet) for packet in packets], n),
+        "compute_mac_us": _best_us(
+            lambda: [compute_mac(key, "host01", "victim", now, "L", "mon", "incr")
+                     for _ in range(n)], n),
+        "validate_miss_us": _best_us(
+            lambda: verdicts.extend(
+                stamper.validate(fb, "mallory", "victim", now, 4.0)
+                for fb in forged), n),
+    }
+    print("\nlive ingress: " + ", ".join(f"{k}={v}" for k, v in rows.items()))
+    _emit("hotpath", {"microbench": rows})
+    assert [decode_frame(frame)[1] for frame in frames] == packets
+    assert not any(verdicts) and stamper.memo_size == 0
+    assert stamper.validate(packets[0].headers[HEADER_KEY].feedback,
+                            "host00", "victim", now, 4.0)
 
 
 # ---------------------------------------------------------------------------

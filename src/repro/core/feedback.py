@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional, Set
 
 from repro.crypto.keys import AccessRouterSecret, ASKeyRegistry
 from repro.crypto.mac import compute_mac, mac_equal
@@ -35,6 +35,15 @@ class FeedbackMode(Enum):
 class FeedbackAction(Enum):
     INCR = "incr"
     DECR = "decr"
+
+
+# The strings Eqs. 1–3 hash for mode and action (``Enum.value`` is a
+# Python-level descriptor call; every MAC below would pay it two or three
+# times over).
+_NOP = FeedbackMode.NOP.value
+_MON = FeedbackMode.MON.value
+_INCR = FeedbackAction.INCR.value
+_DECR = FeedbackAction.DECR.value
 
 
 @dataclass(slots=True)
@@ -106,6 +115,14 @@ class FeedbackStamper:
     The access router knows its own secret ``Ka`` and, through the AS key
     registry, the pairwise key shared with any bottleneck AS, so it can both
     create nop / ``L↑`` feedback and validate all three kinds (§4.4).
+
+    ``Ka`` rotates, but the epoch whose key protects a feedback value is a
+    function of the value's own timestamp (see
+    :class:`~repro.crypto.keys.AccessRouterSecret`), on the stamping and the
+    validating side alike.  Validation therefore recomputes exactly the MACs
+    of the equation it checks — one for ``nop`` and ``L↑``, two for ``L↓``
+    (``token_nop`` under ``Ka``, then Eq. 3 under ``Kai``) — and a forged
+    MAC costs that much whether it is new or replayed.
     """
 
     def __init__(
@@ -120,22 +137,24 @@ class FeedbackStamper:
         # MAC-verification memo.  A sender presents the *same* feedback value
         # on every packet until new feedback arrives (once per control
         # interval at most), so the verification outcome — a pure function of
-        # the feedback's fields, the addressing, and the epoch keys derived
+        # the feedback's fields, the addressing, and the epoch key derived
         # from its timestamp — is recomputed thousands of times.  Freshness
         # (the only ``now``-dependent part) is checked outside the memo.
-        # The memo is sharded by the feedback timestamp's key epoch: once the
-        # validating clock enters a new epoch, shards older than the previous
-        # epoch can never be consulted again (their feedback is stale by the
-        # freshness check) and are dropped wholesale.  A wall-clock policer
-        # crosses an epoch every ``rotation_interval`` seconds, so without
-        # eviction this memo would grow for the life of the process.
-        self._verify_cache: dict = {}
-        self._memo_epoch = 0
+        # Only *successful* verifications are remembered: what fails was
+        # forged, and a flood of distinct forgeries must not be able to push
+        # legitimate senders' entries out of a bounded memo.
+        # The memo is sharded by the validating clock's key epoch: once the
+        # clock enters a new epoch, shards older than the previous epoch can
+        # never be consulted again (their feedback is stale by the freshness
+        # check) and are dropped wholesale.  A wall-clock policer crosses an
+        # epoch every ``rotation_interval`` seconds, so without eviction this
+        # memo would grow for the life of the process.
+        self._verify_cache: Dict[int, Set[tuple]] = {}
 
     # -- stamping ------------------------------------------------------------
     def token_nop(self, src: str, dst: str, ts: float, key: Optional[bytes] = None) -> bytes:
         key = key if key is not None else self.secret.current(ts)
-        return compute_mac(key, src, dst, ts, LINK_NULL, FeedbackMode.NOP.value)
+        return compute_mac(key, src, dst, ts, LINK_NULL, _NOP)
 
     def stamp_nop(self, src: str, dst: str, now: float) -> Feedback:
         """Create nop feedback (Eq. 1)."""
@@ -150,9 +169,7 @@ class FeedbackStamper:
     def stamp_incr(self, src: str, dst: str, link: str, now: float) -> Feedback:
         """Create ``L↑`` feedback (Eq. 2), carrying a fresh ``token_nop``."""
         key = self.secret.current(now)
-        mac = compute_mac(
-            key, src, dst, now, link, FeedbackMode.MON.value, FeedbackAction.INCR.value
-        )
+        mac = compute_mac(key, src, dst, now, link, _MON, _INCR)
         return Feedback(
             mode=FeedbackMode.MON,
             link=link,
@@ -176,70 +193,51 @@ class FeedbackStamper:
             return False
         if not feedback.mac:
             return False
-        # ``ts`` determines the candidate keys (epoch-derived), so the memo
-        # key covers every input of the MAC verification below.
         now_epoch = self.secret.epoch_of(now)
-        if now_epoch > self._memo_epoch:
-            self._memo_epoch = now_epoch
-            floor = now_epoch - 1
-            for stale in [e for e in self._verify_cache if e < floor]:
-                del self._verify_cache[stale]
         memo = self._verify_cache.get(now_epoch)
         if memo is None:
-            memo = self._verify_cache[now_epoch] = {}
+            # The clock entered a new epoch: drop the expired shards.
+            for stale in [e for e in self._verify_cache if e < now_epoch - 1]:
+                del self._verify_cache[stale]
+            memo = self._verify_cache[now_epoch] = set()
+        # ``ts`` determines the key (epoch-derived), so the memo key covers
+        # every input of the MAC verification below.
         memo_key = (
             feedback.mac, feedback.mode, feedback.link, feedback.action,
             feedback.ts, src, dst, link_as,
         )
-        verdict = memo.get(memo_key)
-        if verdict is None:
-            verdict = False
-            for key in self.secret.candidates(feedback.ts):
-                if self._validate_with_key(feedback, src, dst, key, link_as):
-                    verdict = True
-                    break
-            if len(memo) >= 8192:
-                memo.clear()
-            memo[memo_key] = verdict
-        return verdict
+        if memo_key in memo:
+            return True
+        if not self._verify(feedback, src, dst, link_as):
+            return False
+        if len(memo) >= 8192:
+            memo.clear()
+        memo.add(memo_key)
+        return True
 
     @property
     def memo_size(self) -> int:
         """Memoized verification entries across epochs, for telemetry gauges."""
         return sum(len(memo) for memo in self._verify_cache.values())
 
-    def _validate_with_key(
-        self,
-        feedback: Feedback,
-        src: str,
-        dst: str,
-        key: bytes,
-        link_as: Optional[str],
-    ) -> bool:
-        if feedback.is_nop:
-            expected = compute_mac(
-                key, src, dst, feedback.ts, LINK_NULL, FeedbackMode.NOP.value
-            )
-            return mac_equal(feedback.mac, expected)
-        if feedback.link is None:
+    def _verify(self, feedback: Feedback, src: str, dst: str,
+                link_as: Optional[str]) -> bool:
+        """Recompute the MAC of Eq. 1, 2 or 3 under the ``Ka`` that ``ts`` names."""
+        ts = feedback.ts
+        ka = self.secret.current(ts)
+        if feedback.mode is FeedbackMode.NOP:
+            expected = compute_mac(ka, src, dst, ts, LINK_NULL, _NOP)
+        elif feedback.link is None:
             return False
-        if feedback.is_incr:
-            expected = compute_mac(
-                key, src, dst, feedback.ts, feedback.link,
-                FeedbackMode.MON.value, FeedbackAction.INCR.value,
-            )
-            return mac_equal(feedback.mac, expected)
-        # L↓: re-compute token_nop with Ka, then the MAC with Kai (Eq. 3).
-        if link_as is None:
+        elif feedback.action is FeedbackAction.INCR:
+            expected = compute_mac(ka, src, dst, ts, feedback.link, _MON, _INCR)
+        elif link_as is None:
             return False
-        token_nop = compute_mac(
-            key, src, dst, feedback.ts, LINK_NULL, FeedbackMode.NOP.value
-        )
-        kai = self.registry.key_for(self.local_as, link_as)
-        expected = compute_mac(
-            kai, src, dst, feedback.ts, feedback.link,
-            FeedbackMode.MON.value, FeedbackAction.DECR.value, token_nop,
-        )
+        else:
+            # L↓: re-compute token_nop with Ka, then the MAC with Kai (Eq. 3).
+            token_nop = compute_mac(ka, src, dst, ts, LINK_NULL, _NOP)
+            kai = self.registry.key_for(self.local_as, link_as)
+            expected = compute_mac(kai, src, dst, ts, feedback.link, _MON, _DECR, token_nop)
         return mac_equal(feedback.mac, expected)
 
 
@@ -271,10 +269,7 @@ class BottleneckStamper:
         """
         token_nop = current.token_nop if current.is_mon else current.mac
         kai = self.registry.key_for(self.local_as, src_as)
-        mac = compute_mac(
-            kai, src, dst, current.ts, link,
-            FeedbackMode.MON.value, FeedbackAction.DECR.value, token_nop,
-        )
+        mac = compute_mac(kai, src, dst, current.ts, link, _MON, _DECR, token_nop)
         return Feedback(
             mode=FeedbackMode.MON,
             link=link,
@@ -326,7 +321,7 @@ def multi_append(
     chain = tuple(feedback.chain or ()) + ((link, action.value),)
     summary = (
         FeedbackAction.DECR
-        if any(act == FeedbackAction.DECR.value for _, act in chain)
+        if any(act == _DECR for _, act in chain)
         else FeedbackAction.INCR
     )
     return Feedback(
@@ -357,17 +352,11 @@ def multi_validate(
     """
     if not feedback.is_fresh(now, expiration):
         return False
-    chain = tuple(feedback.chain or ())
-    for key in secret.candidates(feedback.ts):
-        token = compute_mac(key, src, dst, feedback.ts)
-        valid = True
-        for link, action in chain:
-            link_as = link_as_resolver(link)
-            if link_as is None:
-                valid = False
-                break
-            kai = registry.key_for(local_as, link_as)
-            token = compute_mac(kai, src, dst, feedback.ts, link, action, token)
-        if valid and mac_equal(token, feedback.mac):
-            return True
-    return False
+    token = compute_mac(secret.current(feedback.ts), src, dst, feedback.ts)
+    for link, action in feedback.chain or ():
+        link_as = link_as_resolver(link)
+        if link_as is None:
+            return False
+        kai = registry.key_for(local_as, link_as)
+        token = compute_mac(kai, src, dst, feedback.ts, link, action, token)
+    return mac_equal(token, feedback.mac)

@@ -17,16 +17,21 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.crypto.mac import derive_key
+from repro.crypto.mac import derive_key, quantize_ts
 
 
 class AccessRouterSecret:
     """The time-varying secret ``Ka`` of one access router.
 
-    The secret rotates every ``rotation_interval`` seconds.  Validation must
-    accept feedback computed with either the current or the previous secret,
-    because feedback up to ``w`` seconds old is still considered fresh
-    (§4.4); the access router therefore exposes :meth:`candidates`.
+    The secret rotates every ``rotation_interval`` seconds.  Which epoch's
+    key protects a feedback value is a pure function of the feedback's own
+    *quantized* timestamp — ``quantize_ts(ts) // interval_us``, the integer
+    the wire carries — so the stamping side (``ts`` is its clock) and the
+    validating side (``ts`` came back in the header, possibly through the
+    wire codec and up to ``w`` seconds later, §4.4) name the same key.
+    Validation tries that one key, never a current-or-previous pair, and
+    feedback stamped just before a rotation still verifies after it: its
+    timestamp, not the validator's clock, selects the key.
     """
 
     def __init__(
@@ -35,70 +40,47 @@ class AccessRouterSecret:
         rotation_interval: float = 128.0,
         master: Optional[bytes] = None,
     ) -> None:
-        if rotation_interval <= 0:
-            raise ValueError("rotation_interval must be positive")
+        #: The rotation interval on the MAC layer's microsecond grid.
+        self._interval_us = quantize_ts(rotation_interval)
+        if self._interval_us <= 0:
+            raise ValueError("rotation_interval must be positive (at least 1 µs)")
         self.router_name = router_name
         self.rotation_interval = rotation_interval
         self._master = master if master is not None else os.urandom(16)
         # The per-epoch key derivation is a keyed hash; caching it is a pure
-        # memoization (same epoch → same key) but removes two MAC
-        # computations from *every* feedback validation on the hot path.
-        # Entries from epochs older than current−1 are evicted whenever the
-        # clock reaches a new epoch: a finite simulation crosses a handful of
-        # epochs, but a wall-clock ``runner serve`` process crosses one every
+        # memoization (same epoch → same key) that keeps a MAC computation
+        # off *every* stamp and validation on the hot path.  Entries from
+        # epochs older than current−1 are evicted whenever the clock reaches
+        # a new epoch: a finite simulation crosses a handful of epochs, but
+        # a wall-clock ``runner serve`` process crosses one every
         # ``rotation_interval`` seconds for as long as it runs, and no key
         # older than the previous epoch can validate still-fresh feedback.
         self._key_cache: Dict[int, bytes] = {}
-        self._candidate_cache: Dict[int, Tuple[bytes, ...]] = {}
-        self._max_epoch = 0
 
-    def _epoch(self, now: float) -> int:
-        return int(now // self.rotation_interval)
-
-    def epoch_of(self, now: float) -> int:
-        """The key epoch in force at time ``now`` (public for cache owners)."""
-        return int(now // self.rotation_interval)
-
-    def _note_epoch(self, epoch: int) -> None:
-        """Record clock progress; evict cache entries from expired epochs."""
-        if epoch <= self._max_epoch:
-            return
-        self._max_epoch = epoch
-        floor = epoch - 1
-        for cache in (self._key_cache, self._candidate_cache):
-            stale = [e for e in cache if e < floor]
-            for e in stale:
-                del cache[e]
+    def epoch_of(self, ts: float) -> int:
+        """The key epoch of timestamp ``ts`` (public for cache owners)."""
+        return quantize_ts(ts) // self._interval_us
 
     def _key_for_epoch(self, epoch: int) -> bytes:
         key = self._key_cache.get(epoch)
         if key is None:
+            # A miss is (almost always) the clock entering a new epoch: drop
+            # the keys of the epochs that expired with it.
+            for stale in [e for e in self._key_cache if e < epoch - 1]:
+                del self._key_cache[stale]
             key = derive_key(self._master, self.router_name, epoch)
             self._key_cache[epoch] = key
         return key
 
-    def current(self, now: float) -> bytes:
-        """The secret in force at simulation time ``now``."""
-        epoch = self._epoch(now)
-        self._note_epoch(epoch)
-        return self._key_for_epoch(epoch)
-
-    def candidates(self, now: float) -> Tuple[bytes, ...]:
-        """Secrets that may have signed still-fresh feedback (current + previous)."""
-        epoch = self._epoch(now)
-        cached = self._candidate_cache.get(epoch)
-        if cached is None:
-            self._note_epoch(epoch)
-            previous = max(epoch - 1, 0)
-            epochs = (epoch,) if previous == epoch else (epoch, previous)
-            cached = tuple(self._key_for_epoch(e) for e in epochs)
-            self._candidate_cache[epoch] = cached
-        return cached
+    def current(self, ts: float) -> bytes:
+        """The secret in force at time ``ts``: the one that stamps feedback
+        at ``ts`` and the only one that can verify feedback stamped then."""
+        return self._key_for_epoch(self.epoch_of(ts))
 
     @property
     def cache_size(self) -> int:
-        """Cached epoch entries (key + candidate caches), for telemetry gauges."""
-        return len(self._key_cache) + len(self._candidate_cache)
+        """Cached epoch keys, for telemetry gauges."""
+        return len(self._key_cache)
 
 
 class ASKeyRegistry:

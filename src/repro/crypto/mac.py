@@ -20,7 +20,7 @@ MAC_BYTES = 4
 
 
 def quantize_ts(ts: float) -> int:
-    """Timestamp → integer microseconds, matching :func:`_encode_field`.
+    """Timestamp → integer microseconds, as :func:`compute_mac` hashes it.
 
     The wire codec (:mod:`repro.runtime.codec`) carries timestamps as this
     integer so that a MAC stamped on one side of a socket verifies on the
@@ -28,7 +28,7 @@ def quantize_ts(ts: float) -> int:
     == us`` exactly for any |us| below ~2**52 (microsecond counts fit a
     float's 53-bit mantissa for tens of millions of years).
     """
-    return int(round(ts * 1e6))
+    return round(ts * 1e6)  # round() of a float is already an int
 
 
 def unquantize_ts(us: int) -> float:
@@ -37,14 +37,13 @@ def unquantize_ts(us: int) -> float:
 
 
 def _encode_field(field: Field) -> bytes:
-    # Checks ordered by hot-path frequency (src/dst/link strings, then the
-    # float timestamp, then token bytes); bool must stay ahead of int since
-    # bool is an int subclass.  Encodings are unchanged.
+    # The general case: ``compute_mac`` handles exact ``str`` / ``float`` /
+    # ``bytes`` itself and sends everything else (None, bool, int, and
+    # subclasses of the three) here.  bool must stay ahead of int since bool
+    # is an int subclass.
     if isinstance(field, str):
         return field.encode("utf-8")
     if isinstance(field, float):
-        # Quantize to microseconds so equal timestamps hash identically
-        # (shared with the wire codec via quantize_ts).
         return quantize_ts(field).to_bytes(16, "big", signed=True)
     if isinstance(field, bytes):
         return field
@@ -56,6 +55,10 @@ def _encode_field(field: Field) -> bytes:
         return field.to_bytes(16, "big", signed=True)
     raise TypeError(f"unsupported MAC field type: {type(field)!r}")
 
+
+#: The 4-byte big-endian length prefix of every field shorter than 256 bytes
+#: (host names, link ids, timestamps, tokens: all of them in practice).
+_LEN_PREFIX = tuple(n.to_bytes(4, "big") for n in range(256))
 
 #: Keyed-hasher midstates, one per MAC key.  Initializing a keyed BLAKE2b
 #: hashes a full key block; ``copy()`` of the initialized hasher reproduces
@@ -69,7 +72,9 @@ def compute_mac(key: bytes, *fields: Field, length: int = MAC_BYTES) -> bytes:
     """Compute a truncated keyed MAC over the given fields.
 
     Fields are length-prefixed before hashing so that ("ab", "c") and
-    ("a", "bc") produce different MACs.
+    ("a", "bc") produce different MACs.  A float is a timestamp and hashes
+    as its :func:`quantize_ts` microsecond count, so equal timestamps hash
+    identically on both sides of a socket.
     """
     if not key:
         raise ValueError("MAC key must be non-empty")
@@ -82,8 +87,19 @@ def compute_mac(key: bytes, *fields: Field, length: int = MAC_BYTES) -> bytes:
     digest = base.copy()
     parts = []
     for field in fields:
-        encoded = _encode_field(field)
-        parts.append(len(encoded).to_bytes(4, "big"))
+        # Exact-type dispatch, by hot-path frequency: src/dst/link/mode
+        # strings, the float timestamp, token bytes.
+        kind = type(field)
+        if kind is str:
+            encoded = field.encode()
+        elif kind is float:
+            encoded = quantize_ts(field).to_bytes(16, "big", signed=True)
+        elif kind is bytes:
+            encoded = field
+        else:
+            encoded = _encode_field(field)
+        size = len(encoded)
+        parts.append(_LEN_PREFIX[size] if size < 256 else size.to_bytes(4, "big"))
         parts.append(encoded)
     digest.update(b"".join(parts))
     return digest.digest()[:length]

@@ -182,7 +182,6 @@ _NF102_SPEC = TaintSpec(
     source_call_qnames=frozenset({
         "repro.crypto.mac.derive_key",
         "AccessRouterSecret.current",
-        "AccessRouterSecret.candidates",
         "AccessRouterSecret._key_for_epoch",
         "ASKeyRegistry.key_for",
     }),

@@ -37,6 +37,9 @@ _HOT_PATH_MODULES = (
     "repro/core/quota.py",
     "repro/core/ratelimiter.py",
     "repro/core/aslevel.py",
+    "repro/crypto/mac.py",
+    "repro/runtime/codec.py",
+    "repro/runtime/serve.py",
     "repro/simulator/engine.py",
     "repro/simulator/link.py",
     "repro/simulator/node.py",

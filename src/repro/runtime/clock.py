@@ -71,7 +71,7 @@ class WallClock:
     Readings are anchored to the Unix epoch by default (``loop.time()`` is
     an arbitrary-origin monotonic clock, so a constant offset is added).
     Anchoring matters: :class:`~repro.crypto.keys.AccessRouterSecret`
-    derives per-epoch keys from ``now // rotation_interval``, and sharded
+    derives per-epoch keys from the timestamp's rotation epoch, and sharded
     ``runner serve`` processes must land in the same epoch for feedback
     stamped by one process to verify at another.
 

@@ -40,12 +40,24 @@ Frame layout (all integers big-endian)::
 Strings are UTF-8 with a u16 length prefix; byte fields carry a u8 length
 prefix.  Malformed input of any sort — truncation, trailing bytes, bad
 magic, unknown enum codes, non-UTF-8 — raises :class:`CodecError`.
+
+Each datagram is read once, front to back, through an integer offset into
+the received ``bytes`` (no cursor object, no per-field copy).  Bounds are
+checked three ways: a fixed-width block is read with a precompiled
+:class:`struct.Struct` whose ``unpack_from`` refuses to run past the buffer
+(``struct.error``, as ``IndexError`` for a single byte, becomes
+:class:`CodecError` in :func:`decode_frame`); a length-prefixed field
+compares its end offset with ``len(data)`` before it slices; and the offset
+after the last field must equal ``len(data)``.  The reader this replaced
+lives on as ``tests/runtime/reference_codec.py``, which
+``tests/runtime/test_codec_differential.py`` holds this module to, value
+and error, frame by frame.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.feedback import Feedback, FeedbackAction, FeedbackMode
 from repro.core.header import HEADER_KEY, NetFenceHeader
@@ -59,14 +71,16 @@ VERSION = 1
 KIND_PACKET = 0x01
 KIND_HELLO = 0x02
 
-_PTYPE_CODE = {PacketType.REQUEST: 1, PacketType.REGULAR: 2, PacketType.LEGACY: 3}
-_CODE_PTYPE = {code: ptype for ptype, code in _PTYPE_CODE.items()}
-
-_MODE_CODE = {FeedbackMode.NOP: 1, FeedbackMode.MON: 2}
-_CODE_MODE = {code: mode for mode, code in _MODE_CODE.items()}
-
-_ACTION_CODE = {FeedbackAction.INCR: 1, FeedbackAction.DECR: 2}
-_CODE_ACTION = {code: action for action, code in _ACTION_CODE.items()}
+# Wire codes.  Decoding indexes by the (int) code; encoding compares enum
+# members by identity, because hashing an Enum member is a Python-level call.
+_CODE_PTYPE = {1: PacketType.REQUEST, 2: PacketType.REGULAR, 3: PacketType.LEGACY}
+_CODE_MODE = {1: FeedbackMode.NOP, 2: FeedbackMode.MON}
+_CODE_ACTION = {1: FeedbackAction.INCR, 2: FeedbackAction.DECR}
+_REQUEST, _REGULAR, _LEGACY = PacketType.REQUEST, PacketType.REGULAR, PacketType.LEGACY
+_NOP, _MON = FeedbackMode.NOP, FeedbackMode.MON
+_INCR, _DECR = FeedbackAction.INCR, FeedbackAction.DECR
+#: Chain entries carry the action as its string value (``Feedback.chain``).
+_CHAIN_ACTION = {1: _INCR.value, 2: _DECR.value}
 
 # Feedback flag bits.
 _FB_HAS_LINK = 0x01
@@ -83,124 +97,86 @@ _PKT_HAS_DST_AS = 0x02
 _PKT_HAS_HEADER = 0x04
 _PKT_HAS_TRACE = 0x08
 
+# Fixed-width blocks, compiled once.
+_FRAME_HEAD = struct.Struct(">2sBB")      # magic | version | kind
+_PACKET_HEAD = struct.Struct(">2sBBBB")   # frame head | ptype | flags
+_HELLO_HEAD = struct.Struct(">2sBBB")     # frame head | has_as
+_PACKET_FIXED = struct.Struct(">IHqQ")    # size | priority | created_at | uid
+_HEADER_HEAD = struct.Struct(">BH")       # flags | priority
+_FEEDBACK_HEAD = struct.Struct(">BBB")    # mode | action | flags
+_TS_MAC_LEN = struct.Struct(">qB")        # ts | length of the MAC that follows
+_TRACE = struct.Struct(">QQQ")            # trace_id | span_id | parent_id
+_U16 = struct.Struct(">H")
+
 
 class CodecError(ValueError):
     """Raised for any malformed frame (truncated, trailing, bad values)."""
 
 
+def _truncated(wanted: int, pos: int, size: int) -> CodecError:
+    return CodecError(f"truncated frame: wanted {wanted} bytes at offset {pos}, "
+                      f"have {size - pos}")
+
+
 # ---------------------------------------------------------------------------
-# Primitive writers / readers
+# Length-prefixed fields (str.encode / bytes.decode default to UTF-8)
 # ---------------------------------------------------------------------------
 
-def _w_str(out: list, value: str) -> None:
-    raw = value.encode("utf-8")
+def _lp_str(value: str) -> bytes:
+    raw = value.encode()
     if len(raw) > 0xFFFF:
         raise CodecError(f"string field too long ({len(raw)} bytes)")
-    out.append(struct.pack(">H", len(raw)))
-    out.append(raw)
+    return _U16.pack(len(raw)) + raw
 
 
-def _w_bytes(out: list, value: bytes) -> None:
-    if len(value) > 0xFF:
-        raise CodecError(f"bytes field too long ({len(value)} bytes)")
-    out.append(struct.pack(">B", len(value)))
-    out.append(value)
-
-
-class _Reader:
-    """Cursor over an immutable buffer; every read checks bounds."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.buf):
-            raise CodecError(
-                f"truncated frame: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos}"
-            )
-        chunk = self.buf[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack(">q", self.take(8))[0]
-
-    def string(self) -> str:
-        raw = self.take(self.u16())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid UTF-8 in string field: {exc}") from None
-
-    def blob(self) -> bytes:
-        return self.take(self.u8())
-
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise CodecError(
-                f"{len(self.buf) - self.pos} trailing bytes after frame body"
-            )
-
-
-def _encode_ts(out: list, ts: float) -> None:
-    out.append(struct.pack(">q", quantize_ts(ts)))
+def _str_at(data: bytes, pos: int, size: int) -> Tuple[str, int]:
+    """The u16-prefixed string at ``pos`` and the offset after it."""
+    start = pos + 2
+    end = start + _U16.unpack_from(data, pos)[0]
+    if end > size:
+        raise _truncated(end - start, start, size)
+    return data[start:end].decode(), end
 
 
 # ---------------------------------------------------------------------------
 # Feedback
 # ---------------------------------------------------------------------------
 
-def _encode_feedback(out: list, fb: Feedback) -> None:
-    mode = _MODE_CODE.get(fb.mode)
-    action = _ACTION_CODE.get(fb.action)
-    if mode is None or action is None:
+def _encode_feedback(out: List[bytes], fb: Feedback) -> None:
+    mode = 1 if fb.mode is _NOP else 2 if fb.mode is _MON else 0
+    action = 1 if fb.action is _INCR else 2 if fb.action is _DECR else 0
+    if not (mode and action):
         raise CodecError(f"unencodable feedback enums: {fb.mode!r}/{fb.action!r}")
-    flags = 0
-    if fb.link is not None:
-        flags |= _FB_HAS_LINK
-    if fb.token_nop is not None:
-        flags |= _FB_HAS_TOKEN
-    if fb.chain is not None:
-        flags |= _FB_HAS_CHAIN
-    out.append(struct.pack(">BBB", mode, action, flags))
-    if fb.link is not None:
-        _w_str(out, fb.link)
-    _encode_ts(out, fb.ts)
-    _w_bytes(out, fb.mac)
-    if fb.token_nop is not None:
-        _w_bytes(out, fb.token_nop)
-    if fb.chain is not None:
-        if len(fb.chain) > 0xFF:
-            raise CodecError(f"feedback chain too long ({len(fb.chain)} entries)")
-        out.append(struct.pack(">B", len(fb.chain)))
-        for link, action_str in fb.chain:
-            try:
-                code = _ACTION_CODE[FeedbackAction(action_str)]
-            except (ValueError, KeyError):
-                raise CodecError(f"unencodable chain action {action_str!r}") from None
-            _w_str(out, link)
-            out.append(struct.pack(">B", code))
+    link, chain = fb.link, fb.chain
+    mac, token_nop = fb.mac, fb.token_nop
+    out.append(_FEEDBACK_HEAD.pack(
+        mode, action, (_FB_HAS_LINK if link is not None else 0)
+        | (_FB_HAS_TOKEN if token_nop is not None else 0)
+        | (_FB_HAS_CHAIN if chain is not None else 0)))
+    if link is not None:
+        out.append(_lp_str(link))
+    if len(mac) > 0xFF or (token_nop is not None and len(token_nop) > 0xFF):
+        raise CodecError("bytes field too long (over 255 bytes)")
+    out.append(_TS_MAC_LEN.pack(quantize_ts(fb.ts), len(mac)))
+    out.append(mac)
+    if token_nop is not None:
+        out.append(bytes((len(token_nop),)))
+        out.append(token_nop)
+    if chain is not None:
+        if len(chain) > 0xFF:
+            raise CodecError(f"feedback chain too long ({len(chain)} entries)")
+        out.append(bytes((len(chain),)))
+        for entry_link, action_str in chain:
+            code = 1 if action_str == _INCR.value else 2 if action_str == _DECR.value else 0
+            if not code:
+                raise CodecError(f"unencodable chain action {action_str!r}")
+            out.append(_lp_str(entry_link))
+            out.append(bytes((code,)))
 
 
-def _decode_feedback(r: _Reader) -> Feedback:
-    mode_code, action_code, flags = struct.unpack(">BBB", r.take(3))
+def _decode_feedback(data: bytes, pos: int, size: int) -> Tuple[Feedback, int]:
+    mode_code, action_code, flags = _FEEDBACK_HEAD.unpack_from(data, pos)
+    pos += 3
     mode = _CODE_MODE.get(mode_code)
     action = _CODE_ACTION.get(action_code)
     if mode is None:
@@ -209,47 +185,38 @@ def _decode_feedback(r: _Reader) -> Feedback:
         raise CodecError(f"unknown feedback action code {action_code}")
     if flags & ~(_FB_HAS_LINK | _FB_HAS_TOKEN | _FB_HAS_CHAIN):
         raise CodecError(f"unknown feedback flag bits 0x{flags:02x}")
-    link = r.string() if flags & _FB_HAS_LINK else None
-    ts = unquantize_ts(r.i64())
-    mac = r.blob()
-    token_nop = r.blob() if flags & _FB_HAS_TOKEN else None
+    link: Optional[str] = None
+    if flags & _FB_HAS_LINK:
+        link, pos = _str_at(data, pos, size)
+    ts_us, mac_len = _TS_MAC_LEN.unpack_from(data, pos)
+    pos += 9
+    end = pos + mac_len
+    if end > size:
+        raise _truncated(mac_len, pos, size)
+    mac = data[pos:end]
+    pos = end
+    token_nop: Optional[bytes] = None
+    if flags & _FB_HAS_TOKEN:
+        pos = end + 1
+        end = pos + data[end]
+        if end > size:
+            raise _truncated(end - pos, pos, size)
+        token_nop = data[pos:end]
+        pos = end
     chain: Optional[Tuple[Tuple[str, str], ...]] = None
     if flags & _FB_HAS_CHAIN:
         entries = []
-        for _ in range(r.u8()):
-            entry_link = r.string()
-            entry_action = _CODE_ACTION.get(r.u8())
+        count = data[pos]
+        pos += 1
+        for _ in range(count):
+            entry_link, pos = _str_at(data, pos, size)
+            entry_action = _CHAIN_ACTION.get(data[pos])
+            pos += 1
             if entry_action is None:
                 raise CodecError("unknown chain action code")
-            entries.append((entry_link, entry_action.value))
+            entries.append((entry_link, entry_action))
         chain = tuple(entries)
-    return Feedback(mode, link, action, ts, mac, token_nop, chain)
-
-
-# ---------------------------------------------------------------------------
-# NetFence header
-# ---------------------------------------------------------------------------
-
-def _encode_header(out: list, header: NetFenceHeader) -> None:
-    flags = 0
-    if header.feedback is not None:
-        flags |= _HDR_HAS_FEEDBACK
-    if header.returned is not None:
-        flags |= _HDR_HAS_RETURNED
-    out.append(struct.pack(">BH", flags, header.priority))
-    if header.feedback is not None:
-        _encode_feedback(out, header.feedback)
-    if header.returned is not None:
-        _encode_feedback(out, header.returned)
-
-
-def _decode_header(r: _Reader) -> NetFenceHeader:
-    flags, priority = struct.unpack(">BH", r.take(3))
-    if flags & ~(_HDR_HAS_FEEDBACK | _HDR_HAS_RETURNED):
-        raise CodecError(f"unknown header flag bits 0x{flags:02x}")
-    feedback = _decode_feedback(r) if flags & _HDR_HAS_FEEDBACK else None
-    returned = _decode_feedback(r) if flags & _HDR_HAS_RETURNED else None
-    return NetFenceHeader(feedback=feedback, returned=returned, priority=priority)
+    return Feedback(mode, link, action, unquantize_ts(ts_us), mac, token_nop, chain), pos
 
 
 # ---------------------------------------------------------------------------
@@ -258,85 +225,106 @@ def _decode_header(r: _Reader) -> NetFenceHeader:
 
 def encode_packet(packet: Packet) -> bytes:
     """Serialize a packet (and its NetFence header, if any) to a frame."""
-    ptype = _PTYPE_CODE.get(packet.ptype)
-    if ptype is None:
-        raise CodecError(f"unencodable packet type {packet.ptype!r}")
-    flags = 0
-    if packet.src_as is not None:
-        flags |= _PKT_HAS_SRC_AS
-    if packet.dst_as is not None:
-        flags |= _PKT_HAS_DST_AS
+    ptype = packet.ptype
+    code = 1 if ptype is _REQUEST else 2 if ptype is _REGULAR else 3 if ptype is _LEGACY else 0
+    if not code:
+        raise CodecError(f"unencodable packet type {ptype!r}")
+    src_as, dst_as = packet.src_as, packet.dst_as
     header = packet.headers.get(HEADER_KEY)
-    if header is not None:
-        flags |= _PKT_HAS_HEADER
     trace = packet.headers.get(TRACE_KEY)
-    if trace is not None:
-        flags |= _PKT_HAS_TRACE
-    out: list = [MAGIC, struct.pack(">BBBB", VERSION, KIND_PACKET, ptype, flags)]
-    _w_str(out, packet.src)
-    _w_str(out, packet.dst)
-    _w_str(out, packet.flow_id)
-    _w_str(out, packet.protocol)
-    out.append(struct.pack(">IH", packet.size_bytes, packet.priority))
-    _encode_ts(out, packet.created_at)
-    out.append(struct.pack(">Q", packet.uid))
-    if packet.src_as is not None:
-        _w_str(out, packet.src_as)
-    if packet.dst_as is not None:
-        _w_str(out, packet.dst_as)
+    flags = ((_PKT_HAS_SRC_AS if src_as is not None else 0)
+             | (_PKT_HAS_DST_AS if dst_as is not None else 0)
+             | (_PKT_HAS_HEADER if header is not None else 0)
+             | (_PKT_HAS_TRACE if trace is not None else 0))
+    out = [
+        _PACKET_HEAD.pack(MAGIC, VERSION, KIND_PACKET, code, flags),
+        _lp_str(packet.src), _lp_str(packet.dst),
+        _lp_str(packet.flow_id), _lp_str(packet.protocol),
+        _PACKET_FIXED.pack(packet.size_bytes, packet.priority,
+                           quantize_ts(packet.created_at), packet.uid),
+    ]
+    if src_as is not None:
+        out.append(_lp_str(src_as))
+    if dst_as is not None:
+        out.append(_lp_str(dst_as))
     if header is not None:
         if not isinstance(header, NetFenceHeader):
             raise CodecError(f"netfence header has unexpected type {type(header)!r}")
-        _encode_header(out, header)
+        feedback, returned = header.feedback, header.returned
+        out.append(_HEADER_HEAD.pack(
+            (_HDR_HAS_FEEDBACK if feedback is not None else 0)
+            | (_HDR_HAS_RETURNED if returned is not None else 0), header.priority))
+        if feedback is not None:
+            _encode_feedback(out, feedback)
+        if returned is not None:
+            _encode_feedback(out, returned)
     if trace is not None:
         if not isinstance(trace, SpanContext):
             raise CodecError(f"trace context has unexpected type {type(trace)!r}")
-        for field in (trace.trace_id, trace.span_id, trace.parent_id):
+        for field in trace:
             if not isinstance(field, int) or not 0 <= field < 1 << 64:
                 raise CodecError(f"trace context id out of range: {field!r}")
-        out.append(struct.pack(">QQQ", trace.trace_id, trace.span_id,
-                               trace.parent_id))
+        out.append(_TRACE.pack(*trace))
     return b"".join(out)
 
 
-def _decode_packet_body(r: _Reader) -> Packet:
-    ptype_code, flags = struct.unpack(">BB", r.take(2))
+def _decode_packet(data: bytes, size: int) -> Packet:
+    _magic, _version, _kind, ptype_code, flags = _PACKET_HEAD.unpack_from(data, 0)
     ptype = _CODE_PTYPE.get(ptype_code)
     if ptype is None:
         raise CodecError(f"unknown packet type code {ptype_code}")
     if flags & ~(_PKT_HAS_SRC_AS | _PKT_HAS_DST_AS | _PKT_HAS_HEADER
                  | _PKT_HAS_TRACE):
         raise CodecError(f"unknown packet flag bits 0x{flags:02x}")
-    src = r.string()
-    dst = r.string()
-    flow_id = r.string()
-    protocol = r.string()
-    size_bytes = r.u32()
-    priority = r.u16()
-    created_at = unquantize_ts(r.i64())
-    uid = r.u64()
-    src_as = r.string() if flags & _PKT_HAS_SRC_AS else None
-    dst_as = r.string() if flags & _PKT_HAS_DST_AS else None
-    headers = {}
+    # src, dst, flow_id, protocol: _str_at, unrolled (every packet has them).
+    pos = 8
+    end = pos + _U16.unpack_from(data, 6)[0]
+    if end > size:
+        raise _truncated(end - pos, pos, size)
+    src = data[pos:end].decode()
+    pos = end + 2
+    end = pos + _U16.unpack_from(data, end)[0]
+    if end > size:
+        raise _truncated(end - pos, pos, size)
+    dst = data[pos:end].decode()
+    pos = end + 2
+    end = pos + _U16.unpack_from(data, end)[0]
+    if end > size:
+        raise _truncated(end - pos, pos, size)
+    flow_id = data[pos:end].decode()
+    pos = end + 2
+    end = pos + _U16.unpack_from(data, end)[0]
+    if end > size:
+        raise _truncated(end - pos, pos, size)
+    protocol = data[pos:end].decode()
+    size_bytes, priority, created_us, uid = _PACKET_FIXED.unpack_from(data, end)
+    pos = end + 22
+    src_as: Optional[str] = None
+    dst_as: Optional[str] = None
+    if flags & _PKT_HAS_SRC_AS:
+        src_as, pos = _str_at(data, pos, size)
+    if flags & _PKT_HAS_DST_AS:
+        dst_as, pos = _str_at(data, pos, size)
+    headers: Dict[str, Any] = {}
     if flags & _PKT_HAS_HEADER:
-        headers[HEADER_KEY] = _decode_header(r)
+        header_flags, header_priority = _HEADER_HEAD.unpack_from(data, pos)
+        pos += 3
+        if header_flags & ~(_HDR_HAS_FEEDBACK | _HDR_HAS_RETURNED):
+            raise CodecError(f"unknown header flag bits 0x{header_flags:02x}")
+        feedback: Optional[Feedback] = None
+        returned: Optional[Feedback] = None
+        if header_flags & _HDR_HAS_FEEDBACK:
+            feedback, pos = _decode_feedback(data, pos, size)
+        if header_flags & _HDR_HAS_RETURNED:
+            returned, pos = _decode_feedback(data, pos, size)
+        headers[HEADER_KEY] = NetFenceHeader(feedback, returned, header_priority)
     if flags & _PKT_HAS_TRACE:
-        headers[TRACE_KEY] = SpanContext(r.u64(), r.u64(), r.u64())
-    r.done()
-    return Packet(
-        src=src,
-        dst=dst,
-        size_bytes=size_bytes,
-        ptype=ptype,
-        flow_id=flow_id,
-        protocol=protocol,
-        headers=headers,
-        created_at=created_at,
-        priority=priority,
-        src_as=src_as,
-        dst_as=dst_as,
-        uid=uid,
-    )
+        headers[TRACE_KEY] = SpanContext(*_TRACE.unpack_from(data, pos))
+        pos += 24
+    if pos != size:
+        raise CodecError(f"{size - pos} trailing bytes after frame body")
+    return Packet(src, dst, size_bytes, ptype, flow_id, protocol, headers,
+                  unquantize_ts(created_us), priority, src_as, dst_as, uid)
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +333,22 @@ def _decode_packet_body(r: _Reader) -> Packet:
 
 def encode_hello(name: str, as_name: Optional[str] = None) -> bytes:
     """A hello frame: binds a host name (and AS) to the sending address."""
-    out: list = [MAGIC, struct.pack(">BBB", VERSION, KIND_HELLO,
-                                    1 if as_name is not None else 0)]
-    _w_str(out, name)
-    if as_name is not None:
-        _w_str(out, as_name)
-    return b"".join(out)
+    head = _HELLO_HEAD.pack(MAGIC, VERSION, KIND_HELLO, 1 if as_name is not None else 0)
+    if as_name is None:
+        return head + _lp_str(name)
+    return head + _lp_str(name) + _lp_str(as_name)
 
 
-def _decode_hello_body(r: _Reader) -> Tuple[str, Optional[str]]:
-    has_as = r.u8()
+def _decode_hello(data: bytes, size: int) -> Tuple[str, Optional[str]]:
+    has_as = data[4]
     if has_as not in (0, 1):
         raise CodecError(f"bad hello flag byte {has_as}")
-    name = r.string()
-    as_name = r.string() if has_as else None
-    r.done()
+    name, pos = _str_at(data, 5, size)
+    as_name: Optional[str] = None
+    if has_as:
+        as_name, pos = _str_at(data, pos, size)
+    if pos != size:
+        raise CodecError(f"{size - pos} trailing bytes after frame body")
     return name, as_name
 
 
@@ -373,18 +362,22 @@ def decode_frame(data: bytes) -> Tuple[str, Any]:
     Returns ``("packet", Packet)`` or ``("hello", (name, as_name))``.
     Raises :class:`CodecError` on any malformed input.
     """
-    r = _Reader(data)
-    if r.take(2) != MAGIC:
-        raise CodecError("bad magic (not a NetFence frame)")
-    version = r.u8()
-    if version != VERSION:
-        raise CodecError(f"unsupported frame version {version}")
-    kind = r.u8()
-    if kind == KIND_PACKET:
-        return "packet", _decode_packet_body(r)
-    if kind == KIND_HELLO:
-        return "hello", _decode_hello_body(r)
-    raise CodecError(f"unknown frame kind 0x{kind:02x}")
+    size = len(data)
+    try:
+        magic, version, kind = _FRAME_HEAD.unpack_from(data, 0)
+        if magic != MAGIC:
+            raise CodecError("bad magic (not a NetFence frame)")
+        if version != VERSION:
+            raise CodecError(f"unsupported frame version {version}")
+        if kind == KIND_PACKET:
+            return "packet", _decode_packet(data, size)
+        if kind == KIND_HELLO:
+            return "hello", _decode_hello(data, size)
+        raise CodecError(f"unknown frame kind 0x{kind:02x}")
+    except (struct.error, IndexError) as exc:
+        raise CodecError(f"truncated frame ({size} bytes): {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid UTF-8 in string field: {exc}") from None
 
 
 def decode_packet(data: bytes) -> Packet:

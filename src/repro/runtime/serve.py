@@ -20,7 +20,7 @@ and fed real datagrams:
 
 The epoch secret ``Ka`` rotates on wall-clock time; the rollover eviction in
 :class:`~repro.crypto.keys.AccessRouterSecret` keeps a long-running policer's
-key caches bounded.  Because :class:`WallClock` anchors ``now`` to the Unix
+key cache bounded.  Because :class:`WallClock` anchors ``now`` to the Unix
 epoch, two processes on one machine agree on epochs and on per-packet
 latency measurements.
 

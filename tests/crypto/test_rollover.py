@@ -4,13 +4,14 @@ A simulation crosses a handful of key epochs; a live ``runner serve``
 process crosses one every ``rotation_interval`` seconds for as long as it
 runs.  These tests pin the two invariants that makes that sustainable:
 
-* the :class:`AccessRouterSecret` per-epoch caches hold only the epochs
+* the :class:`AccessRouterSecret` per-epoch key cache holds only the epochs
   that can still validate fresh feedback (current + previous);
 * the :class:`FeedbackStamper` verification memo drops shards from expired
   epochs instead of growing monotonically;
 
 and the correctness property that eviction must not break: feedback
-stamped just before an epoch boundary still validates just after it.
+stamped just before an epoch boundary still validates just after it — under
+the one key its own timestamp names, not a choice of candidates.
 """
 
 from repro.core.feedback import FeedbackStamper
@@ -31,19 +32,18 @@ def make_stamper(master: bytes = b"rollover"):
 # ---------------------------------------------------------------------------
 
 def test_key_cache_bounded_across_many_epochs():
-    secret, _ = make_stamper()
-    for epoch in range(500):
-        now = epoch * ROTATION + 1.0
-        secret.current(now)
-        secret.candidates(now)
-        # Never more than current + previous (+ one transiently re-derived
-        # older epoch when validation asks for a just-expired timestamp).
-        assert len(secret._key_cache) <= 3
-        assert len(secret._candidate_cache) <= 2
+    secret, stamper = make_stamper()
+    for epoch in range(1, 1001):
+        boundary = epoch * ROTATION
+        # The live pattern around a rollover: feedback stamped just before
+        # it comes back just after it, while new feedback is being stamped.
+        before = stamper.stamp_nop("h1", "h2", boundary - 0.5)
+        after = stamper.stamp_nop("h1", "h2", boundary + 0.5)
+        assert stamper.validate(before, "h1", "h2", boundary + 0.5, expiration=4.0)
+        assert stamper.validate(after, "h1", "h2", boundary + 1.0, expiration=4.0)
+        assert secret.cache_size <= 2
     # After the last advance only the live epochs remain.
-    live = {499, 498}
-    assert set(secret._key_cache) <= live
-    assert set(secret._candidate_cache) <= live
+    assert set(secret._key_cache) == {1000, 999}
 
 
 def test_old_epoch_key_rederives_identically_after_eviction():
@@ -56,13 +56,14 @@ def test_old_epoch_key_rederives_identically_after_eviction():
     assert secret._key_for_epoch(0) == early_key
 
 
-def test_candidates_still_spans_epoch_boundary():
+def test_previous_epoch_key_survives_the_rollover():
+    """The key that stamped just before a boundary is still cached after."""
     secret, _ = make_stamper()
     before = secret.current(ROTATION - 1.0)
     after = secret.current(ROTATION + 1.0)
     assert before != after
-    assert before in secret.candidates(ROTATION + 1.0)
-    assert after in secret.candidates(ROTATION + 1.0)
+    assert set(secret._key_cache) == {0, 1}
+    assert secret.current(ROTATION - 1.0) is before
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +102,10 @@ def test_feedback_stamped_before_boundary_validates_after():
     """Rollover correctness: the previous epoch's key still verifies."""
     _, stamper = make_stamper()
     ts = ROTATION - 0.5
-    feedback = stamper.stamp_nop("h1", "h2", ts)
-    # Validation happens 1.5 s later, in the next epoch.
-    assert stamper.validate(feedback, "h1", "h2", ts + 1.5, expiration=4.0)
+    # Validation happens a second later, in the next epoch.
+    for feedback in (stamper.stamp_nop("h1", "h2", ts),
+                     stamper.stamp_incr("h1", "h2", "L", ts)):
+        assert stamper.validate(feedback, "h1", "h2", ROTATION + 0.5, expiration=4.0)
 
 
 def test_stale_feedback_rejected_after_many_epochs():

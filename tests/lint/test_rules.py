@@ -176,6 +176,18 @@ def test_nf006_flags_bare_imported_deepcopy():
     assert "NF006" in codes(source, "repro/simulator/packet.py")
 
 
+@pytest.mark.parametrize("module", [
+    "repro/runtime/codec.py", "repro/runtime/serve.py", "repro/crypto/mac.py"])
+def test_nf006_covers_the_live_per_datagram_path(module):
+    source = """
+    import dataclasses
+    def restamp(feedback, mac):
+        return dataclasses.replace(feedback, mac=mac)
+    """
+    assert "NF006" in codes(source, module)
+    assert "NF006" not in codes(source, "repro/runtime/loadgen.py")
+
+
 def test_nf006_allows_replace_in_setup_modules():
     source = """
     import dataclasses
