@@ -11,7 +11,10 @@ filesystem primitives:
 * ``open(..., O_CREAT | O_EXCL)`` — creating a lease file succeeds for
   exactly one claimant, however many workers race;
 * ``os.replace`` / ``os.rename`` — stealing an *expired* lease renames it
-  away first, which likewise succeeds for exactly one stealer.
+  aside to a private stash first, which likewise succeeds for exactly one
+  stealer; the steal is then decided on what the stash holds, so a thief
+  that lost a race puts a fresh lease back (``os.link``) instead of
+  deleting it.
 
 Queue directory layout::
 
@@ -27,6 +30,18 @@ budget; earlier failed attempts are recorded under ``retries/`` and the
 task returns to pending).  Workers renew their lease from a heartbeat
 thread while a point executes; a worker that dies mid-point leaves a
 lease that expires and is reclaimed.
+
+Claim cost is O(1) amortized.  Each :class:`WorkQueue` keeps a sorted
+snapshot of task names and claims from its head: a name whose done marker
+has been seen is dropped for good (done is terminal), so a drain stats each
+marker about once.  ``tasks/`` is re-listed only when the snapshot holds
+nothing claimable, which is also how tasks submitted mid-drain are found
+before a worker exits.
+
+A finished point commits before it is published: the worker writes the
+point's rows and its telemetry row to the store in one transaction, and
+only then links the done marker.  A crash between the two re-executes the
+point (the store is append-only); it never loses one.
 
 Typical session (the ``netfence-experiment`` CLI fronts all of this)::
 
@@ -48,8 +63,9 @@ import sys
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.rows import json_safe, row_to_dict, rows_to_csv, rows_to_dicts
 from repro.experiments.sweep import ScenarioSpec, SweepResult, execute_spec
@@ -69,6 +85,14 @@ def _rss_kb() -> Optional[int]:
     if _resource is None:  # pragma: no cover - non-Unix
         return None
     return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
 
 __all__ = [
     "Lease",
@@ -112,6 +136,12 @@ class WorkQueue:
         for path in (self.tasks_dir, self.leases_dir, self.done_dir,
                      self.retries_dir):
             os.makedirs(path, exist_ok=True)
+        # Claim state: sorted task names not yet seen done, and the names
+        # seen done (kept out of every later re-listing).  The lock makes
+        # one queue object safe to share between threads.
+        self._snapshot: Deque[str] = deque()
+        self._done_names: Set[str] = set()
+        self._claim_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Paths
@@ -120,6 +150,10 @@ class WorkQueue:
     @staticmethod
     def task_key(spec: ScenarioSpec) -> str:
         return spec.cache_key()[:24]
+
+    @staticmethod
+    def _key_of(task_name: str) -> str:
+        return task_name[:-len(".task")].rsplit("-", 1)[-1]
 
     def _task_path(self, spec: ScenarioSpec) -> str:
         return os.path.join(self.tasks_dir, f"{spec.experiment}-{self.task_key(spec)}.task")
@@ -176,55 +210,121 @@ class WorkQueue:
     def claim(self, worker_id: str, ttl: float = 60.0) -> Optional[Lease]:
         """Claim one pending task, or ``None`` if nothing is claimable.
 
-        Exactly-once claiming rests on ``O_CREAT | O_EXCL``: however many
-        workers race on the same key, one lease-file create succeeds.  An
-        expired lease is first renamed away (one stealer wins the rename),
-        after which the key is claimable again.
+        Tasks are tried in sorted name order from this queue's snapshot;
+        ``tasks/`` is re-listed only when the snapshot holds nothing
+        claimable.  Exactly-once claiming rests on ``O_CREAT | O_EXCL``:
+        however many workers race on the same key, one lease-file create
+        succeeds.
         """
-        for name in sorted(os.listdir(self.tasks_dir)):
-            if not name.endswith(".task"):
-                continue
-            key = name[:-len(".task")].rsplit("-", 1)[-1]
-            if os.path.exists(self._done_path(key)):
-                continue
-            lease_path = self._lease_path(key)
-            existing = self._read_json(lease_path)
-            if existing is not None:
-                expires_at = existing.get("expires_at", 0.0)
-            elif os.path.exists(lease_path):
-                # Unparseable lease: its claimer died (or hit disk-full)
-                # between the O_EXCL create and the JSON write.  Grant it a
-                # full ttl from the file's mtime, then let it be stolen like
-                # any expired lease — otherwise the key would wedge forever.
-                try:
-                    expires_at = os.path.getmtime(lease_path) + ttl
-                except OSError:
-                    expires_at = 0.0  # vanished mid-look: claimable now
-            else:
-                expires_at = None
-            if expires_at is not None:
-                if expires_at > time.time():
-                    continue  # live lease held elsewhere
-                # Expired: steal by renaming it away; losing the rename race
-                # just means another worker is already reclaiming this key.
-                stale = f"{lease_path}.stale-{uuid.uuid4().hex}"
-                try:
-                    os.replace(lease_path, stale)
-                except OSError:
-                    continue
-                try:
-                    os.unlink(stale)
-                except OSError:
-                    pass
-            try:
-                fd = os.open(lease_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                continue
-            lease = Lease(key=key, spec=self._load_task(name), worker_id=worker_id,
-                          nonce=uuid.uuid4().hex, expires_at=time.time() + ttl)
-            self._write_lease(fd, lease)
+        with self._claim_lock:
+            lease = self._claim_from_snapshot(worker_id, ttl)
+            if lease is None:
+                done = self._done_names
+                self._snapshot = deque(sorted(
+                    name for name in os.listdir(self.tasks_dir)
+                    if name.endswith(".task") and name not in done))
+                lease = self._claim_from_snapshot(worker_id, ttl)
             return lease
-        return None
+
+    def _claim_from_snapshot(self, worker_id: str, ttl: float) -> Optional[Lease]:
+        """Walk the snapshot's head until one task is claimed.
+
+        Names seen done are dropped for good.  Names held elsewhere go back
+        in order ahead of the claimed one, which stays at the head, so a
+        task released for a retry is the next one tried.
+        """
+        snapshot, skipped = self._snapshot, []
+        lease = None
+        while snapshot:
+            name = snapshot[0]
+            key = self._key_of(name)
+            if os.path.exists(self._done_path(key)):
+                self._done_names.add(snapshot.popleft())
+                continue
+            lease = self._try_claim(name, key, worker_id, ttl)
+            if lease is not None:
+                break
+            skipped.append(snapshot.popleft())
+        snapshot.extendleft(reversed(skipped))
+        return lease
+
+    def _try_claim(self, name: str, key: str, worker_id: str,
+                   ttl: float) -> Optional[Lease]:
+        lease_path = self._lease_path(key)
+        expires_at = self._lease_expiry(lease_path, ttl)
+        if expires_at is not None:
+            if expires_at > time.time():
+                return None  # live lease held elsewhere
+            # Expired: take it aside and decide on what was taken, not on
+            # what was read — in between, a faster thief may have replaced
+            # it with a fresh lease of its own.
+            stash = self._take_aside(lease_path)
+            if stash is None:
+                return None  # another stealer took it first
+            taken = self._lease_expiry(stash, ttl)
+            if taken is not None and taken > time.time():
+                self._put_back(stash, lease_path)
+                return None
+            _unlink(stash)
+        try:
+            fd = os.open(lease_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return None
+        if os.path.exists(self._done_path(key)):
+            # Finished since the done check above: complete() publishes the
+            # marker before it drops the lease, so this re-check after the
+            # create closes that window.
+            os.close(fd)
+            _unlink(lease_path)
+            return None
+        lease = Lease(key=key, spec=self._load_task(name), worker_id=worker_id,
+                      nonce=uuid.uuid4().hex, expires_at=time.time() + ttl)
+        self._write_lease(fd, lease)
+        return lease
+
+    def _lease_expiry(self, path: str, ttl: float) -> Optional[float]:
+        """When the lease file at ``path`` expires; ``None`` if there is none.
+
+        An unparseable lease means its claimer died (or hit disk-full)
+        between the O_EXCL create and the JSON write.  It is granted a full
+        ``ttl`` from the file's mtime and then stolen like any expired
+        lease — otherwise the key would wedge forever.
+        """
+        existing = self._read_json(path)
+        if existing is not None:
+            return existing.get("expires_at", 0.0)
+        try:
+            return os.path.getmtime(path) + ttl
+        except OSError:
+            return None
+
+    @staticmethod
+    def _take_aside(lease_path: str) -> Optional[str]:
+        """Atomically move a lease to a unique stash; ``None`` if absent.
+
+        Whatever the rename moved is out of every other worker's reach
+        while the caller inspects it.
+        """
+        stash = f"{lease_path}.taken-{uuid.uuid4().hex}"
+        try:
+            os.replace(lease_path, stash)
+        except OSError:
+            return None
+        return stash
+
+    @staticmethod
+    def _put_back(stash: str, lease_path: str) -> None:
+        """Restore a taken lease unless a newer one was created meanwhile.
+
+        If one was, the newer lease stands and the restored lease's holder
+        sees :class:`LeaseLost` at its next renewal — duplicated work at
+        worst, never divergent results.
+        """
+        try:
+            os.link(stash, lease_path)
+        except OSError:
+            pass
+        _unlink(stash)
 
     def _load_task(self, name: str) -> ScenarioSpec:
         with open(os.path.join(self.tasks_dir, name), "rb") as fh:
@@ -275,14 +375,8 @@ class WorkQueue:
         except FileExistsError:
             finished = False
         finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        try:
-            os.unlink(self._lease_path(lease.key))
-        except OSError:
-            pass
+            _unlink(tmp)
+        _unlink(self._lease_path(lease.key))
         return finished
 
     def owns(self, lease: Lease) -> bool:
@@ -295,27 +389,20 @@ class WorkQueue:
 
         A lease that was stolen after expiry is left to the thief —
         unlinking it would reopen a task the thief is still executing.  The
-        check is an atomic take: the lease file is renamed aside first (so
-        no steal can slip between check and unlink), then inspected, and
-        restored if it turns out to carry a thief's nonce.  The restore can
-        at worst clobber a brand-new third claimant's lease, which that
-        claimant's next heartbeat detects as :class:`LeaseLost` — the
-        documented duplicated-work-never-divergent-results envelope.
+        check is an atomic take, the same one a stealing :meth:`claim`
+        makes: the lease file is renamed aside first (so no steal can slip
+        between check and unlink), then inspected, and put back if it turns
+        out to carry a thief's nonce.
         """
         lease_path = self._lease_path(lease.key)
-        stash = f"{lease_path}.release-{uuid.uuid4().hex}"
-        try:
-            os.replace(lease_path, stash)
-        except OSError:
+        stash = self._take_aside(lease_path)
+        if stash is None:
             return  # already gone (completed or stolen-and-finished)
         current = self._read_json(stash)
         if current is not None and current.get("nonce") != lease.nonce:
-            os.replace(stash, lease_path)  # a thief's live lease: put it back
-            return
-        try:
-            os.unlink(stash)
-        except OSError:
-            pass
+            self._put_back(stash, lease_path)  # a thief's live lease
+        else:
+            _unlink(stash)
 
     # ------------------------------------------------------------------
     # Retry budget
@@ -350,7 +437,7 @@ class WorkQueue:
     # ------------------------------------------------------------------
 
     def _task_keys(self) -> set:
-        return {name[:-len(".task")].rsplit("-", 1)[-1]
+        return {self._key_of(name)
                 for name in os.listdir(self.tasks_dir) if name.endswith(".task")}
 
     def _done_keys(self) -> set:
@@ -523,6 +610,22 @@ class QueueWorker:
             if spans is not None and exec_span is not None:
                 spans.finish(exec_span, ts=time.time(),
                              status="error" if result.error else "ok")
+            # The operational half of the point's provenance: how long the
+            # claim waited, how hard the heartbeat worked, and what the
+            # process footprint was when the point finished.
+            worker_row = {
+                "worker_id": self.worker_id,
+                "experiment": lease.spec.experiment,
+                "cache_key": lease.key,
+                "attempt": attempt,
+                "claim_latency_s": round(claim_latency, 6),
+                "heartbeat_renewals": renewals,
+                "elapsed_s": result.elapsed_s,
+                "rss_kb": _rss_kb(),
+                "outcome": "completed",
+                "error": bool(result.error),
+            }
+            committed = False
             outcome = "completed"
             if lost:
                 stats.lost_leases += 1
@@ -549,8 +652,13 @@ class QueueWorker:
                     commit_span = spans.start("worker.commit",
                                               parent=point_span, ts=time.time())
                 if result.error is None and self.store is not None:
+                    # The point, its rows and the worker row commit in one
+                    # transaction, before complete() publishes the done
+                    # marker: a crash in between re-executes the point, it
+                    # never loses it.
                     self.store.put_result(result, worker_id=self.worker_id,
-                                          attempt=attempt)
+                                          attempt=attempt, worker_row=worker_row)
+                    committed = True
                 if self.queue.complete(lease, elapsed_s=result.elapsed_s,
                                        error=result.error, attempts=attempt):
                     if result.error is None:
@@ -570,21 +678,14 @@ class QueueWorker:
                     status="ok" if outcome in ("completed", "already_done")
                     else outcome)
             if self.store is not None:
-                # The operational half of the point's provenance: how long
-                # the claim waited, how hard the heartbeat worked, and what
-                # the process footprint was when the point finished.
-                self.store.put_worker_rows([{
-                    "worker_id": self.worker_id,
-                    "experiment": lease.spec.experiment,
-                    "cache_key": lease.key,
-                    "attempt": attempt,
-                    "claim_latency_s": round(claim_latency, 6),
-                    "heartbeat_renewals": renewals,
-                    "elapsed_s": result.elapsed_s,
-                    "rss_kb": _rss_kb(),
-                    "outcome": outcome,
-                    "error": bool(result.error),
-                }])
+                if not committed:
+                    worker_row["outcome"] = outcome
+                    self.store.put_worker_rows([worker_row])
+                elif outcome != "completed":
+                    # Another execution published first; the row committed
+                    # with this one still says what happened to it.
+                    self.store.set_worker_outcome(self.worker_id, lease.key,
+                                                  outcome)
             claim_started = time.time()
         return stats
 

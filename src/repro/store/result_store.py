@@ -8,6 +8,9 @@ Layout (one database file, shared by any number of workers)::
                 time, the committing worker id, and a timestamp.
     point_rows  one JSON record per result row, flattened for SQL-side
                 filtering and for readers that do not import the row classes.
+    worker_rows one telemetry record per point a queue worker handled
+                (claim latency, heartbeats, RSS, outcome); a successful
+                point's record commits in the same transaction as the point.
 
 The store is **append-only**: re-executing a point inserts a new ``points``
 record rather than overwriting the old one, so the database doubles as a
@@ -119,6 +122,38 @@ def _params_json(spec: ScenarioSpec) -> str:
     return json.dumps(json_safe(spec.kwargs), sort_keys=True, default=repr)
 
 
+_INSERT_WORKER_ROWS = (
+    "INSERT INTO worker_rows (worker_id, experiment, cache_key,"
+    " attempt, claim_latency_s, heartbeat_renewals, elapsed_s,"
+    " rss_kb, data, created_at)"
+    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
+
+
+def _worker_payload(rows: Sequence[Dict[str, Any]],
+                    default_worker: str) -> List[Tuple[Any, ...]]:
+    """``worker_rows`` parameter tuples: typed columns plus the JSON row."""
+    created = time.time()
+    payload = []
+    for row in rows:
+        claim = row.get("claim_latency_s")
+        elapsed = row.get("elapsed_s")
+        rss = row.get("rss_kb")
+        payload.append((
+            str(row.get("worker_id", default_worker)),
+            str(row.get("experiment", "")),
+            str(row.get("cache_key", "")),
+            int(row.get("attempt", 1)),
+            float(claim) if claim is not None else None,
+            int(row.get("heartbeat_renewals", 0)),
+            float(elapsed) if elapsed is not None else None,
+            int(rss) if rss is not None else None,
+            json.dumps(json_safe(row), sort_keys=True),
+            created,
+        ))
+    return payload
+
+
 class ResultStore:
     """Append-only SQLite result store keyed by ``ScenarioSpec.cache_key()``.
 
@@ -156,22 +191,29 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def put_result(self, result: SweepResult, worker_id: Optional[str] = None,
-                   attempt: int = 1) -> int:
+                   attempt: int = 1,
+                   worker_row: Optional[Dict[str, Any]] = None) -> int:
         """Append one executed point; returns the new ``points`` record id.
 
         ``attempt`` records which execution attempt succeeded — the retry
         budget of :class:`~repro.experiments.distrib.QueueWorker` passes
-        values > 1 when a flaky point needed re-queuing.
+        values > 1 when a flaky point needed re-queuing.  ``worker_row`` is
+        the committing worker's telemetry row for this point (the shape
+        :meth:`put_worker_rows` takes); it is written in the same
+        transaction, so the point and its telemetry commit together or not
+        at all.
         """
         if result.error is not None:
             raise ValueError(
                 f"refusing to store a failed point: {result.spec.describe()}")
+        worker_id = worker_id or result.worker_id or self.worker_id
         return self._append(
             result.spec,
             result.rows,
             elapsed_s=result.elapsed_s,
-            worker_id=worker_id or result.worker_id or self.worker_id,
+            worker_id=worker_id,
             attempt=attempt,
+            worker_rows=() if worker_row is None else [worker_row],
         )
 
     def put(self, spec: ScenarioSpec, rows: List[Any]) -> int:
@@ -179,11 +221,13 @@ class ResultStore:
         return self._append(spec, rows, elapsed_s=0.0, worker_id=self.worker_id)
 
     def _append(self, spec: ScenarioSpec, rows: List[Any], elapsed_s: float,
-                worker_id: str, attempt: int = 1) -> int:
+                worker_id: str, attempt: int = 1,
+                worker_rows: Sequence[Dict[str, Any]] = ()) -> int:
         blob = pickle.dumps(rows)
         schema = repr(row_schema(rows))
         dict_rows = [json.dumps(json_safe(d), sort_keys=True, default=repr)
                      for d in rows_to_dicts(rows)]
+        telemetry = _worker_payload(worker_rows, worker_id)
         with contextlib.closing(self._connect()) as conn, conn:
             cursor = conn.execute(
                 "INSERT INTO points (cache_key, experiment, params_json, seed,"
@@ -198,6 +242,8 @@ class ResultStore:
                 "INSERT INTO point_rows (point_id, row_index, data) VALUES (?, ?, ?)",
                 [(point_id, index, data) for index, data in enumerate(dict_rows)],
             )
+            if telemetry:
+                conn.executemany(_INSERT_WORKER_ROWS, telemetry)
         return point_id
 
     # ------------------------------------------------------------------
@@ -402,34 +448,31 @@ class ResultStore:
         preserved as JSON for anything else (steals, retries, lease nonce).
         Returns the number of rows written.
         """
-        created = time.time()
-        default_worker = worker_id or self.worker_id
-        payload = []
-        for row in rows:
-            claim = row.get("claim_latency_s")
-            elapsed = row.get("elapsed_s")
-            rss = row.get("rss_kb")
-            payload.append((
-                str(row.get("worker_id", default_worker)),
-                str(row.get("experiment", "")),
-                str(row.get("cache_key", "")),
-                int(row.get("attempt", 1)),
-                float(claim) if claim is not None else None,
-                int(row.get("heartbeat_renewals", 0)),
-                float(elapsed) if elapsed is not None else None,
-                int(rss) if rss is not None else None,
-                json.dumps(json_safe(row), sort_keys=True),
-                created,
-            ))
+        payload = _worker_payload(rows, worker_id or self.worker_id)
         with contextlib.closing(self._connect()) as conn, conn:
-            conn.executemany(
-                "INSERT INTO worker_rows (worker_id, experiment, cache_key,"
-                " attempt, claim_latency_s, heartbeat_renewals, elapsed_s,"
-                " rss_kb, data, created_at)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                payload,
-            )
+            conn.executemany(_INSERT_WORKER_ROWS, payload)
         return len(payload)
+
+    def set_worker_outcome(self, worker_id: str, cache_key: str,
+                           outcome: str) -> None:
+        """Rewrite the ``outcome`` of a worker's newest row for a point.
+
+        A worker commits its telemetry row with the point it executed,
+        before it learns whether its done marker won; when another
+        execution finished first, this relabels the row it already wrote.
+        """
+        with contextlib.closing(self._connect()) as conn, conn:
+            record = conn.execute(
+                "SELECT id, data FROM worker_rows WHERE worker_id = ?"
+                " AND cache_key = ? ORDER BY id DESC LIMIT 1",
+                (worker_id, cache_key),
+            ).fetchone()
+            if record is None:
+                return
+            row = json.loads(record["data"])
+            row["outcome"] = outcome
+            conn.execute("UPDATE worker_rows SET data = ? WHERE id = ?",
+                         (json.dumps(row, sort_keys=True), record["id"]))
 
     def query_worker_rows(
         self,

@@ -2,6 +2,8 @@
 
 import json
 import multiprocessing
+import os
+import sys
 import threading
 import time
 
@@ -9,6 +11,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.distrib import (
+    Lease,
     LeaseLost,
     QueueWorker,
     WorkQueue,
@@ -112,32 +115,37 @@ def test_racing_claims_yield_exactly_one_lease(tmp_path):
     assert len(winners) == 1
 
 
-def test_expired_lease_is_reclaimable_and_loser_detects_theft(tmp_path):
-    queue = WorkQueue(str(tmp_path / "q"))
+def test_thief_preempted_before_its_steal_rename_leaves_one_winner(tmp_path,
+                                                                   monkeypatch):
+    """Regression: thief A reads an expired lease and is preempted just
+    before it renames the lease away.  Thief B's whole claim runs in that
+    gap and writes a fresh lease.  A's rename must not turn B's fresh lease
+    into a second winner.  The interleaving is forced, not timed."""
+    root = str(tmp_path / "q")
+    queue = WorkQueue(root)
     queue.submit(bench_specs(1))
-    stale = queue.claim("w0", ttl=0.05)
-    assert stale is not None
-    time.sleep(0.1)
-    # Racing stealers: exactly one reclaims the expired lease.
-    n_threads = 4
-    barrier = threading.Barrier(n_threads)
-    leases = [None] * n_threads
+    stale = queue.claim("w0", ttl=-1.0)  # expired as soon as it is written
+    thief_a, thief_b = WorkQueue(root), WorkQueue(root)
+    real_replace = os.replace
+    preempted = {}
 
-    def stealer(i):
-        barrier.wait()
-        leases[i] = queue.claim(f"thief{i}", ttl=30.0)
+    def replace(src, dst):
+        if src.endswith(".lease") and not preempted:
+            preempted["b"] = None  # B's own rename must not preempt again
+            preempted["b"] = thief_b.claim("thief-b", ttl=30.0)
+        return real_replace(src, dst)
 
-    threads = [threading.Thread(target=stealer, args=(i,)) for i in range(n_threads)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    winners = [lease for lease in leases if lease is not None]
+    monkeypatch.setattr(os, "replace", replace)
+    lease_a = thief_a.claim("thief-a", ttl=30.0)
+    monkeypatch.undo()
+    lease_b = preempted["b"]
+    winners = [lease for lease in (lease_a, lease_b) if lease is not None]
     assert len(winners) == 1
+    assert winners[0].worker_id == "thief-b"
     # The original holder's heartbeat must see the theft, not renew through it.
     with pytest.raises(LeaseLost):
         queue.renew(stale, ttl=30.0)
-    # The thief's lease renews fine.
+    # The winner's lease renews fine.
     queue.renew(winners[0], ttl=30.0)
 
 
@@ -183,6 +191,122 @@ def test_renew_extends_expiry_for_live_lease(tmp_path):
     assert lease.expires_at > first_expiry
     time.sleep(0.25)  # original ttl elapsed; renewed lease must still hold
     assert queue.claim("w1", ttl=30.0) is None
+
+
+# ---------------------------------------------------------------------------
+# Snapshot claim: sorted, done markers stat'ed once, re-list when exhausted
+# ---------------------------------------------------------------------------
+
+def test_claim_order_within_one_snapshot_is_sorted(tmp_path):
+    queue = WorkQueue(str(tmp_path / "q"))
+    specs = bench_specs(6)
+    queue.submit(specs)
+    claimed = []
+    for index in range(len(specs)):
+        lease = queue.claim("w0", ttl=30.0)
+        claimed.append(lease.key)
+        if index % 2:
+            queue.complete(lease)  # mix done names with live leases
+    assert claimed == sorted(WorkQueue.task_key(spec) for spec in specs)
+    assert queue.claim("w0", ttl=30.0) is None
+
+
+def test_key_finished_elsewhere_is_skipped_after_one_done_check(tmp_path,
+                                                                monkeypatch):
+    root = str(tmp_path / "q")
+    specs = bench_specs(6)
+    WorkQueue(root).submit(specs)
+    other = WorkQueue(root)
+    finished = other.claim("other", ttl=30.0)
+    other.complete(finished)
+    queue = WorkQueue(root)
+    done_path = queue._done_path(finished.key)
+    calls = {"done_stats": 0, "claim_listings": 0, "claims": 0}
+    in_claim = [False]
+    real_exists, real_listdir, real_claim = os.path.exists, os.listdir, queue.claim
+
+    def exists(path):
+        calls["done_stats"] += path == done_path
+        return real_exists(path)
+
+    def listdir(path="."):
+        calls["claim_listings"] += in_claim[0] and path == queue.tasks_dir
+        return real_listdir(path)
+
+    def claim(*args, **kwargs):
+        calls["claims"] += 1
+        in_claim[0] = True
+        try:
+            return real_claim(*args, **kwargs)
+        finally:
+            in_claim[0] = False
+
+    monkeypatch.setattr(os.path, "exists", exists)
+    monkeypatch.setattr(os, "listdir", listdir)
+    monkeypatch.setattr(queue, "claim", claim)
+    stats = QueueWorker(queue, worker_id="w0").run()
+    monkeypatch.undo()
+    assert stats.completed == 5
+    assert calls["done_stats"] == 1
+    # One listing fills the snapshot, one more confirms it is exhausted.
+    assert calls["claims"] == 6 and calls["claim_listings"] == 2
+
+
+def test_task_submitted_mid_drain_runs_before_the_worker_exits(tmp_path,
+                                                               monkeypatch):
+    root = str(tmp_path / "q")
+    queue = WorkQueue(root)
+    store = ResultStore(str(tmp_path / "s.sqlite"))
+    first = bench_specs(3)
+    late = ScenarioSpec.make("bench_sleep", seed=99, duration=0.0, payload=99)
+    queue.submit(first)
+    real_complete = queue.complete
+
+    def complete_then_submit(lease, **kwargs):
+        WorkQueue(root).submit([late])  # a producer elsewhere, mid-drain
+        return real_complete(lease, **kwargs)
+
+    monkeypatch.setattr(queue, "complete", complete_then_submit)
+    stats = QueueWorker(queue, store=store, worker_id="w0").run()
+    assert stats.completed == 4
+    _, missing = store.fetch_specs(first + [late])
+    assert not missing
+
+
+def test_in_process_workers_share_200_points_without_duplicates(tmp_path):
+    """Four worker threads on two queue objects (each shared by two
+    threads, as in one process) and two snapshots (as in two processes)."""
+    root = str(tmp_path / "q")
+    store = ResultStore(str(tmp_path / "s.sqlite"))
+    specs = bench_specs(200)
+    WorkQueue(root).submit(specs)
+    queues = [WorkQueue(root), WorkQueue(root)]
+    workers = [QueueWorker(queues[i % 2], store=store, worker_id=f"t{i}")
+               for i in range(4)]
+    stats = [None] * len(workers)
+
+    def drain(i):
+        stats[i] = workers[i].run()
+
+    threads = [threading.Thread(target=drain, args=(i,))
+               for i in range(len(workers))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sum(s.completed for s in stats) == 200
+    records = store.point_records()
+    assert len(records) == 200
+    assert len({record.cache_key for record in records}) == 200
+    rows = store.query_worker_rows()
+    assert len(rows) == 200
+    assert {row["outcome"] for row in rows} == {"completed"}
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +358,101 @@ def test_worker_max_points_and_idle_timeout(tmp_path):
                         poll_interval=0.05, max_points=2).run()
     assert stats.claimed == 1  # took the one remaining free task
     assert time.time() - started < 5.0
+
+
+# ---------------------------------------------------------------------------
+# Worker telemetry rows: one per outcome, committed with the point on success
+# ---------------------------------------------------------------------------
+
+_WORKER_ROW_KEYS = {
+    "worker_id", "experiment", "cache_key", "attempt", "claim_latency_s",
+    "heartbeat_renewals", "elapsed_s", "rss_kb", "outcome", "error",
+    "_worker_id", "_experiment", "_cache_key", "_created_at",
+}
+
+
+def _outcomes(store):
+    rows = store.query_worker_rows()
+    assert all(set(row) == _WORKER_ROW_KEYS for row in rows)
+    assert all(row["_worker_id"] == row["worker_id"] == "w0" for row in rows)
+    return [(row["outcome"], row["attempt"], row["error"]) for row in rows]
+
+
+def test_worker_rows_for_completed_points(tmp_path):
+    queue = WorkQueue(str(tmp_path / "q"))
+    store = ResultStore(str(tmp_path / "s.sqlite"))
+    specs = bench_specs(2)
+    queue.submit(specs)
+    QueueWorker(queue, store=store, worker_id="w0").run()
+    assert _outcomes(store) == [("completed", 1, False)] * 2
+    assert sorted(row["_cache_key"] for row in store.query_worker_rows()) == \
+        sorted(WorkQueue.task_key(spec) for spec in specs)
+
+
+def test_worker_rows_for_failed_and_retried_points(tmp_path):
+    queue = WorkQueue(str(tmp_path / "q"))
+    store = ResultStore(str(tmp_path / "s.sqlite"))
+    queue.submit([ScenarioSpec.make("no_such_experiment", seed=1)])
+    QueueWorker(queue, store=store, worker_id="w0", retries=0).run()
+    assert _outcomes(store) == [("failed", 1, True)]
+
+    store = ResultStore(str(tmp_path / "s2.sqlite"))
+    queue.submit([ScenarioSpec.make("flaky_marker", seed=5,
+                                    marker=str(tmp_path / "marker"))])
+    QueueWorker(queue, store=store, worker_id="w0", retries=1).run()
+    assert _outcomes(store) == [("retried", 1, True), ("completed", 2, False)]
+
+
+def test_worker_row_for_a_point_another_worker_published_first(tmp_path,
+                                                                monkeypatch):
+    root = str(tmp_path / "q")
+    queue = WorkQueue(root)
+    store = ResultStore(str(tmp_path / "s.sqlite"))
+    queue.submit(bench_specs(1))
+    real_complete = queue.complete
+
+    def complete_after_a_rival(lease, **kwargs):
+        rival = Lease(key=lease.key, spec=lease.spec, worker_id="rival",
+                      nonce="rival", expires_at=0.0)
+        assert WorkQueue(root).complete(rival)
+        return real_complete(lease, **kwargs)
+
+    monkeypatch.setattr(queue, "complete", complete_after_a_rival)
+    stats = QueueWorker(queue, store=store, worker_id="w0").run()
+    assert stats.completed == 0
+    assert _outcomes(store) == [("already_done", 1, False)]
+    assert len(store.point_records()) == 1  # committed before it lost
+
+
+_HEARTBEAT_LOST = threading.Event()
+
+
+@register_point("outlives_its_lease")
+def _outlives_its_lease_point(seed=1):
+    """Returns once the worker's heartbeat has reported the lease lost —
+    the lost-lease test's stand-in for a point that outruns its lease."""
+    _HEARTBEAT_LOST.wait(timeout=30.0)
+    return {"seed": seed}
+
+
+def test_worker_rows_for_a_lost_lease_then_its_rerun(tmp_path, monkeypatch):
+    queue = WorkQueue(str(tmp_path / "q"))
+    store = ResultStore(str(tmp_path / "s.sqlite"))
+    queue.submit([ScenarioSpec.make("outlives_its_lease", seed=1)])
+    _HEARTBEAT_LOST.clear()
+    real_renew = queue.renew
+
+    def renew(lease, ttl=60.0):
+        if not _HEARTBEAT_LOST.is_set():
+            _HEARTBEAT_LOST.set()
+            raise LeaseLost("stolen")
+        return real_renew(lease, ttl=ttl)
+
+    monkeypatch.setattr(queue, "renew", renew)
+    stats = QueueWorker(queue, store=store, worker_id="w0", lease_ttl=0.03,
+                        poll_interval=0.01).run()
+    assert stats.lost_leases == 1 and stats.completed == 1
+    assert _outcomes(store) == [("lost_lease", 1, False), ("completed", 1, False)]
 
 
 # ---------------------------------------------------------------------------

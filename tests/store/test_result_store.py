@@ -403,3 +403,47 @@ def test_worker_rows_default_worker_id_comes_from_store(store):
     store.put_worker_rows([row])
     (fetched,) = store.query_worker_rows()
     assert fetched["_worker_id"] == store.worker_id
+
+
+def _stored_point(scale):
+    return SweepResult(spec=spec_for(scale=scale),
+                       rows=[StoreRow("netfence", scale, 0.5)], elapsed_s=0.5)
+
+
+def test_put_result_commits_the_worker_row_with_the_point(store):
+    result = _stored_point(3)
+    store.put_result(result, worker_id="w-1",
+                     worker_row=_worker_row(cache_key="ck-3"))
+    (record,) = store.point_records()
+    assert record.worker_id == "w-1"
+    (row,) = store.query_worker_rows()
+    standalone = ResultStore(store.path + ".b")
+    standalone.put_worker_rows([_worker_row(cache_key="ck-3")])
+    (expected,) = standalone.query_worker_rows()
+    # Same row as put_worker_rows writes, bar the commit time.
+    assert {k: v for k, v in row.items() if k != "_created_at"} == \
+        {k: v for k, v in expected.items() if k != "_created_at"}
+
+
+def test_failed_worker_row_insert_rolls_back_the_point(store):
+    with sqlite3.connect(store.path) as conn:
+        conn.execute("CREATE TRIGGER reject_worker_rows BEFORE INSERT ON"
+                     " worker_rows BEGIN SELECT RAISE(ABORT, 'injected'); END")
+    result = _stored_point(4)
+    with pytest.raises(sqlite3.DatabaseError, match="injected"):
+        store.put_result(result, worker_row=_worker_row())
+    assert store.point_records() == []
+    assert store.get(result.spec) is None
+    with sqlite3.connect(store.path) as conn:
+        (rows,) = conn.execute("SELECT COUNT(*) FROM point_rows").fetchone()
+    assert rows == 0
+
+
+def test_set_worker_outcome_relabels_the_newest_row_only(store):
+    store.put_worker_rows([_worker_row(attempt=1), _worker_row(attempt=2),
+                           _worker_row(worker_id="w-2")])
+    store.set_worker_outcome("w-1", "ck-1", "already_done")
+    assert [(r["_worker_id"], r["attempt"], r["outcome"])
+            for r in store.query_worker_rows()] == [
+        ("w-1", 1, "completed"), ("w-1", 2, "already_done"),
+        ("w-2", 1, "completed")]
