@@ -55,9 +55,6 @@ class ReturnPolicy:
     def block(self, peer: str) -> None:
         self.blocked.add(peer)
 
-    def unblock(self, peer: str) -> None:
-        self.blocked.discard(peer)
-
 
 @dataclass
 class _PeerFeedbackState:
@@ -284,9 +281,6 @@ class NetFenceEndHost:
             self.host.send(packet)
 
     # -- helpers for tests and experiments -----------------------------------------
-    def stored_feedback(self, peer: str, flow_id: str = "") -> _PeerFeedbackState:
-        return self._peer(peer, flow_id)
-
     def stop(self) -> None:
         if self._feedback_timer is not None:
             self._feedback_timer.stop()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import PurePosixPath
-from typing import List, Optional
+from typing import List
 
 
 def logical_path(path: str) -> str:
@@ -42,10 +42,3 @@ class FileContext:
             return self.lines[lineno - 1]
         return ""
 
-
-def try_parse(source: str, path: str) -> Optional[FileContext]:
-    """Parse ``source``; return ``None`` on syntax errors (caller reports)."""
-    try:
-        return FileContext(source, path)
-    except SyntaxError:
-        return None

@@ -96,11 +96,6 @@ def all_rules() -> List[Type[LintRule]]:
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
-def get_rule(code: str) -> Type[LintRule]:
-    _ensure_loaded()
-    return _REGISTRY[code]
-
-
 def _expand_codes(codes: Sequence[str], known: Sequence[str]) -> List[str]:
     """Expand exact codes and fnmatch globs (``NF1*``) against the registry.
 

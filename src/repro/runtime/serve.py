@@ -45,7 +45,7 @@ from repro.core.domain import NetFenceDomain
 from repro.core.header import HEADER_KEY
 from repro.core.params import NetFenceParams
 from repro.crypto.keys import AccessRouterSecret
-from repro.obs.export import prometheus_text, snapshot
+from repro.obs.export import prometheus_text
 from repro.obs.flight import FlightRecorder
 from repro.obs.log import JsonLinesLogger, bridge_stdlib
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -514,10 +514,6 @@ class LivePolicer(asyncio.DatagramProtocol):
                     if k.startswith(prefix))
         return legit / total
 
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Flat ``{metric{labels}: value}`` view of the policer's registry."""
-        return snapshot(self.registry)
-
     def metrics_text(self) -> str:
         """Prometheus exposition text for the policer's registry."""
         return prometheus_text(self.registry)
@@ -573,10 +569,13 @@ async def start_policer(
     """Bind a :class:`LivePolicer` to a UDP socket (port 0 → ephemeral)."""
     loop = asyncio.get_running_loop()
     clock = WallClock(loop)
-    _transport, protocol = await loop.create_datagram_endpoint(
+    transport, protocol = await loop.create_datagram_endpoint(
         lambda: LivePolicer(clock, **policer_kwargs),
         local_addr=(host, port),
     )
+    # asyncio reads each datagram into a fresh 256 KiB buffer, and in a small
+    # heap every such read page-faults; 64 KiB holds any UDP payload.
+    transport.max_size = 65536  # type: ignore[attr-defined]
     return protocol
 
 

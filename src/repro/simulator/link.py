@@ -129,6 +129,12 @@ class Link:
             self._start_next_transmission()
 
     def _finish_transmission(self, packet: Packet) -> None:
+        """End a transmission; scheduled at dequeue, it runs before tied arrivals.
+
+        So an arrival at this instant whose upstream transmission ended later
+        finds the slot freed and is accepted.  Pre-scheduling each delivery at
+        dequeue would drop that arrival, which is why this event stays.
+        """
         self.bytes_delivered += packet.size_bytes
         self.packets_delivered += 1
         if self.transmit_tap is not None:

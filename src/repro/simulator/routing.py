@@ -1,55 +1,64 @@
 """Static shortest-path routing.
 
-Routes are computed once, after the topology is built, with networkx's
-shortest-path algorithm over the node graph (weighted by link propagation
-delay).  Every router gets a ``destination host -> next-hop link`` entry for
-every host in the topology.  The paper assumes relatively stable paths
-(§7, "ECMP"), so static routing is sufficient.
+Routes are computed once, after the topology is built, with a stdlib
+``heapq`` Dijkstra weighted by link propagation delay: every router gets a
+``destination host -> next-hop link`` entry for every reachable host.  The
+paper assumes relatively stable paths (§7, "ECMP"), so static routing is
+sufficient.
+
+Equal-cost ties break exactly as in the graph library's single-source
+Dijkstra that ``tests/simulator/test_routing.py`` compares against:
+successors in insertion order (a repeated ``(src, dst)`` pair keeps its first
+place and its last link), a heap of ``(dist, push counter, node)``, a first
+hop that changes only on a strictly shorter distance, and settled nodes
+skipped.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, Iterable
-
-import networkx as nx
 
 from repro.simulator.link import Link
 from repro.simulator.node import Host, Node, Router
 
 
-def build_routes(nodes: Iterable[Node], links: Iterable[Link]) -> None:
-    """Populate every router's routing table in place.
+def _first_hops(adj: Dict[str, Dict[str, Link]], source: str) -> Dict[str, str]:
+    """Map every node reachable from ``source`` (itself excluded) to its first hop."""
+    settled: set[str] = set()
+    seen: Dict[str, float] = {source: 0}
+    first: Dict[str, str] = {}
+    push_counter = count()
+    heap = [(0, next(push_counter), source)]
+    while heap:
+        dist_v, _, v = heappop(heap)
+        if v in settled:
+            continue
+        settled.add(v)
+        for u, link in adj.get(v, {}).items():
+            vu_dist = dist_v + link.delay_s
+            if u not in settled and (u not in seen or vu_dist < seen[u]):
+                seen[u] = vu_dist
+                heappush(heap, (vu_dist, next(push_counter), u))
+                first[u] = u if v == source else first[v]
+    return first
 
-    Args:
-        nodes: all nodes in the topology (hosts and routers).
-        links: all unidirectional links.
-    """
+
+def build_routes(nodes: Iterable[Node], links: Iterable[Link]) -> None:
+    """Populate every router's table from all ``nodes`` and unidirectional ``links``."""
     nodes = list(nodes)
     links = list(links)
-    graph = nx.DiGraph()
-    for node in nodes:
-        graph.add_node(node.name)
-    link_by_pair: Dict[tuple[str, str], Link] = {}
+    adj: Dict[str, Dict[str, Link]] = {node.name: {} for node in nodes}
     for link in links:
-        graph.add_edge(link.src_node.name, link.dst_node.name, weight=link.delay_s)
-        link_by_pair[(link.src_node.name, link.dst_node.name)] = link
+        adj.setdefault(link.src_node.name, {})[link.dst_node.name] = link
 
-    hosts = [n for n in nodes if isinstance(n, Host)]
-    routers = [n for n in nodes if isinstance(n, Router)]
-
-    # All-pairs shortest paths from each router to every host.
-    for router in routers:
-        paths = nx.single_source_dijkstra_path(graph, router.name, weight="weight")
+    hosts = [n.name for n in nodes if isinstance(n, Host)]
+    for router in [n for n in nodes if isinstance(n, Router)]:
+        first = _first_hops(adj, router.name)
         for host in hosts:
-            if host.name == router.name:
-                continue
-            path = paths.get(host.name)
-            if path is None or len(path) < 2:
-                continue
-            next_hop = path[1]
-            link = link_by_pair.get((router.name, next_hop))
-            if link is not None:
-                router.add_route(host.name, link)
+            if host in first:
+                router.add_route(host, adj[router.name][first[host]])
 
     # Register locally attached hosts so access routers can tell their own
     # senders apart from transit traffic.

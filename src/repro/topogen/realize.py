@@ -55,9 +55,6 @@ class RealizedScenario:
     users: List[PlacedHost] = field(default_factory=list)
     attackers: List[PlacedHost] = field(default_factory=list)
 
-    def router_of(self, as_name: str) -> Router:
-        return self.topo.router(self.as_router[as_name])
-
 
 def realize(
     spec: ASGraphSpec,

@@ -113,6 +113,15 @@ def test_decr_requires_known_link_as(setup):
     assert not access.validate(decr, SRC, DST, 10.5, W, link_as=None)
 
 
+def test_decr_verified_for_one_link_as_is_not_memoized_for_another(setup):
+    """The verify memo is keyed by ``link_as`` too: Kai differs per AS pair."""
+    _, _, access, bottleneck = setup
+    nop = access.stamp_nop(SRC, DST, 10.0)
+    decr = bottleneck.stamp_decr(nop, SRC, DST, ACCESS_AS, LINK)
+    assert access.validate(decr, SRC, DST, 10.5, W, link_as=LINK_AS)
+    assert not access.validate(decr, SRC, DST, 10.5, W, link_as="AS-other")
+
+
 def test_secret_rotation_accepts_recent_feedback(setup):
     _, secret, access, _ = setup
     boundary = secret.rotation_interval

@@ -241,6 +241,57 @@ def test_inference_adjustment_increases_on_inferred_incr(limiter_rig):
 
 
 # ---------------------------------------------------------------------------
+# Fig. 17 interval boundaries on a scripted clock
+# ---------------------------------------------------------------------------
+
+class ScriptedClock:
+    """A clock that moves only when the test sets ``now``."""
+
+    def __init__(self, now):
+        self.now = now
+
+    def schedule(self, delay, callback, *args):
+        raise AssertionError("these tests never cache a packet")
+
+
+def scripted_limiter(start=10.0):
+    clock = ScriptedClock(start)
+    limiter = RegularRateLimiter(clock, "s", "L", NetFenceParams(),
+                                 release_fn=None, initial_rate_bps=120_000.0)
+    return clock, limiter
+
+
+@pytest.mark.parametrize("update, adjust", [
+    ("update_status", "adjust"),
+    ("update_status", "adjust_with_inference"),
+    ("update_inferred_status", "adjust_with_inference"),
+])
+def test_incr_in_one_interval_does_not_carry_into_the_next(update, adjust):
+    clock, limiter = scripted_limiter()
+    clock.now = 10.25
+    getattr(limiter, update)(incr_feedback(ts=10.25))
+    clock.now = 12.0
+    assert getattr(limiter, adjust)() == "keep"  # no traffic: hold, not raise
+    clock.now = 14.0
+    assert getattr(limiter, adjust)() == "decrease"
+
+
+@pytest.mark.parametrize("update, flag", [
+    ("update_status", "has_incr"),
+    ("update_inferred_status", "has_incr_star"),
+])
+def test_incr_stamped_before_the_interval_start_does_not_count(update, flag):
+    clock, limiter = scripted_limiter()
+    clock.now = 12.0
+    limiter.adjust()  # the interval now starts at 12.0
+    clock.now = 12.5
+    getattr(limiter, update)(incr_feedback(ts=12.0 - 2.0 ** -20))
+    assert not getattr(limiter, flag)
+    getattr(limiter, update)(incr_feedback(ts=12.0))
+    assert getattr(limiter, flag)
+
+
+# ---------------------------------------------------------------------------
 # Leaky-bucket accounting regressions
 # ---------------------------------------------------------------------------
 

@@ -143,6 +143,18 @@ def test_policer_shutdown_drains_and_stops_timers():
     asyncio.run(scenario())
 
 
+def test_policer_socket_reads_into_64k_buffers():
+    """Not asyncio's 256 KiB per read, which page-faults in a small heap."""
+    async def scenario():
+        policer = await start_policer(port=0, capacity_bps=CAPACITY_BPS)
+        try:
+            return policer.transport.max_size
+        finally:
+            await policer.shutdown()
+
+    assert asyncio.run(scenario()) == 65536
+
+
 # ---------------------------------------------------------------------------
 # The drain under asyncio: structure, not speed
 # ---------------------------------------------------------------------------

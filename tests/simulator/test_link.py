@@ -144,3 +144,43 @@ def test_link_name_defaults_to_endpoints():
     sim = Simulator()
     _, _, link = build_link(sim)
     assert link.name == "src->dst"
+
+
+class Forwarder(Recorder):
+    """A middle node that records each arrival and forwards it on ``out``."""
+
+    out = None
+
+    def receive(self, packet, from_link):
+        super().receive(packet, from_link)
+        self.out.send(packet)
+
+
+def test_arrival_tied_with_transmission_end_finds_the_freed_slot():
+    """The tie-order contract a pre-scheduled delivery would break.
+
+    ``up`` dequeues ``x`` at t=0, before ``down`` dequeues ``p1`` at t=0.25,
+    but ends ``x``'s transmission at 0.5, after it.  So ``x`` reaches the
+    middle node at 0.5 + 0.75 = 1.25, the same instant ``p1`` ends its 1 s
+    transmission on ``down`` (all times binary-exact).  The end was
+    scheduled first, so it runs first: ``p2`` leaves the one-packet queue
+    and ``x`` takes its place instead of being dropped.
+    """
+    sim = Simulator()
+    src, mid, dst = Recorder(sim, "src"), Forwarder(sim, "mid"), Recorder(sim, "dst")
+    up = Link(sim, src, mid, capacity_bps=16_000, delay_s=0.75)
+    down = Link(sim, mid, dst, capacity_bps=8_000, delay_s=0.125,
+                queue=DropTailQueue(capacity_bytes=1000))
+    mid.out = down
+    ends = []
+    down.transmit_tap = lambda packet, link: ends.append((sim.now, packet.flow_id))
+    x, p1, p2 = (Packet(src="src", dst="dst", size_bytes=1000, flow_id=f)
+                 for f in ("x", "p1", "p2"))
+    up.send(x)
+    sim.schedule(0.25, down.send, p1)
+    sim.schedule(0.25, down.send, p2)
+    sim.run(until=10.0)
+    assert mid.arrivals[0][0] == ends[0][0] == 1.25
+    assert ends[0][1] == "p1"
+    assert down.queue.stats.dropped == 0
+    assert [p.flow_id for _, p in dst.arrivals] == ["p1", "p2", "x"]
