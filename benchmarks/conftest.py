@@ -9,6 +9,8 @@ the reproduction log.
 
 import pytest
 
+from repro.experiments.sweep import merge_rows, run_sweep
+
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run a (long) experiment exactly once under pytest-benchmark timing."""
@@ -18,3 +20,11 @@ def run_once(benchmark, fn, *args, **kwargs):
 @pytest.fixture
 def once():
     return run_once
+
+
+@pytest.fixture
+def run_grid(benchmark):
+    """Run a figure grid once under timing and return its merged rows; a
+    failed point raises ``SweepError`` instead of truncating the table."""
+    return lambda specs: run_once(
+        benchmark, lambda: merge_rows(run_sweep(specs, strict=True)))

@@ -8,15 +8,13 @@ when ``C_L1 < C_L2`` — the single-rate-limiter limitation of §4.3.5.
 from repro.experiments import fig10_parkinglot
 
 
-def test_fig10_group_a_throughput(benchmark, once):
-    rows = once(
-        benchmark,
-        fig10_parkinglot.run,
+def test_fig10_group_a_throughput(run_grid):
+    rows = run_grid(fig10_parkinglot.grid(
         policy="single",
         hosts_per_group=8,
         sim_time=150.0,
         warmup=75.0,
-    )
+    ))
     print("\n" + fig10_parkinglot.format_table(rows))
     by_case = {row.case_label: row for row in rows}
     fair = rows[0].fair_share_kbps

@@ -8,10 +8,8 @@ off-period grows.
 from repro.experiments import fig11_onoff
 
 
-def test_fig11_onoff_attack_guarantee(benchmark, once):
-    rows = once(
-        benchmark,
-        fig11_onoff.run,
+def test_fig11_onoff_attack_guarantee(run_grid):
+    rows = run_grid(fig11_onoff.grid(
         ton_values=(0.5, 4.0),
         toff_values=(1.5, 10.0),
         num_source_as=4,
@@ -19,7 +17,7 @@ def test_fig11_onoff_attack_guarantee(benchmark, once):
         bottleneck_bps=1.2e6,
         sim_time=150.0,
         warmup=60.0,
-    )
+    ))
     print("\n" + fig11_onoff.format_table(rows))
     fair = rows[0].always_on_fair_share_kbps
     for row in rows:

@@ -3,14 +3,12 @@
 from repro.experiments import fig10_parkinglot, fig13_multifeedback
 
 
-def test_fig13_multifeedback_restores_fair_share(benchmark, once):
-    rows = once(
-        benchmark,
-        fig13_multifeedback.run,
+def test_fig13_multifeedback_restores_fair_share(run_grid):
+    rows = run_grid(fig13_multifeedback.grid(
         hosts_per_group=8,
         sim_time=150.0,
         warmup=75.0,
-    )
+    ))
     print("\n" + fig10_parkinglot.format_table(rows, figure="Fig. 13 (multi-feedback)"))
     fair = rows[0].fair_share_kbps
     by_case = {row.case_label: row for row in rows}

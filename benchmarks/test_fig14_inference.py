@@ -4,14 +4,12 @@ close, the Fig. 10 gap."""
 from repro.experiments import fig10_parkinglot, fig14_inference
 
 
-def test_fig14_inference_improves_hurt_case(benchmark, once):
-    rows = once(
-        benchmark,
-        fig14_inference.run,
+def test_fig14_inference_improves_hurt_case(run_grid):
+    rows = run_grid(fig14_inference.grid(
         hosts_per_group=8,
         sim_time=150.0,
         warmup=75.0,
-    )
+    ))
     print("\n" + fig10_parkinglot.format_table(rows, figure="Fig. 14 (inference)"))
     by_case = {row.case_label: row for row in rows}
     hurt = by_case["160M-240M"]

@@ -31,7 +31,7 @@ def test_tva_per_packet_operations(benchmark, operation, attack):
     benchmark(lambda: op(packet_factory()))
 
 
-def test_fig7_full_table(benchmark, once):
-    rows = once(benchmark, fig7_overhead.run, 1000)
+def test_fig7_full_table(run_grid):
+    rows = run_grid(fig7_overhead.grid(iterations=1000))
     print("\n" + fig7_overhead.format_table(rows))
     assert len(rows) == 12

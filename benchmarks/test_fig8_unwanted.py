@@ -20,14 +20,12 @@ _results = {}
 
 
 @pytest.mark.parametrize("system", fig8_unwanted.SYSTEMS)
-def test_fig8_transfer_time(benchmark, once, system):
-    rows = once(
-        benchmark,
-        fig8_unwanted.run,
+def test_fig8_transfer_time(run_grid, system):
+    rows = run_grid(fig8_unwanted.grid(
         systems=(system,),
         scale_steps=BENCH_STEPS,
         sim_time=40.0,
-    )
+    ))
     _results[system] = rows
     for row in rows:
         print(f"\nFig. 8 [{row.system} @ {row.scale_label}] "

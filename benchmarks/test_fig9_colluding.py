@@ -17,16 +17,14 @@ _rows = {}
 
 
 @pytest.mark.parametrize("system", fig9_colluding.SYSTEMS)
-def test_fig9a_longrun_ratio(benchmark, once, system):
-    rows = once(
-        benchmark,
-        fig9_colluding.run,
+def test_fig9a_longrun_ratio(run_grid, system):
+    rows = run_grid(fig9_colluding.grid(
         systems=(system,),
         workloads=("longrun",),
         scale_steps=BENCH_STEPS,
         sim_time=150.0,
         warmup=75.0,
-    )
+    ))
     row = rows[0]
     _rows[("longrun", system)] = row
     print(f"\nFig. 9a [{system}] ratio={row.throughput_ratio:.2f} "
@@ -40,16 +38,14 @@ def test_fig9a_longrun_ratio(benchmark, once, system):
 
 
 @pytest.mark.parametrize("system", ("netfence", "tva"))
-def test_fig9b_weblike_ratio(benchmark, once, system):
-    rows = once(
-        benchmark,
-        fig9_colluding.run,
+def test_fig9b_weblike_ratio(run_grid, system):
+    rows = run_grid(fig9_colluding.grid(
         systems=(system,),
         workloads=("web",),
         scale_steps=BENCH_STEPS,
         sim_time=150.0,
         warmup=75.0,
-    )
+    ))
     row = rows[0]
     print(f"\nFig. 9b [{system}] ratio={row.throughput_ratio:.2f} "
           f"fairness={row.fairness_index:.2f}")

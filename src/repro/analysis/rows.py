@@ -20,9 +20,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 def row_schema(rows: Iterable[Any]) -> Tuple[Any, ...]:
     """Fingerprint row types: class identity plus dataclass field names.
 
-    Both the pickle-backed :class:`~repro.experiments.sweep.SweepCache` and
-    the SQLite :class:`~repro.store.ResultStore` record this fingerprint at
-    write time and compare it against the currently imported classes at read
+    The :class:`~repro.store.ResultStore` records this fingerprint at write
+    time and compares it against the currently imported classes at read
     time: unpickling bypasses ``__init__``, so without the check a row
     dataclass that gained or lost a field would be served as a silently
     stale object.

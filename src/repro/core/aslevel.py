@@ -22,8 +22,7 @@ source AS of packets:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 from repro.simulator.packet import Packet
 
@@ -107,13 +106,6 @@ class PerASRateLimiter:
             return True
         self.dropped += 1
         return False
-
-
-@dataclass
-class _ASHistory:
-    """Recent per-interval byte counts for one source AS."""
-
-    bytes_per_interval: List[int] = field(default_factory=list)
 
 
 class HeavyHitterDetector:

@@ -17,10 +17,12 @@
 * :mod:`repro.experiments.fig14_inference` — Appendix B.2 rate-limiter
   inference (Fig. 14).
 * :mod:`repro.experiments.sweep` — the parallel sweep engine: declarative
-  ``ScenarioSpec`` grids, multiprocessing execution, on-disk result cache.
-* :mod:`repro.experiments.runner` — CLI entry point that runs any experiment
-  grid (``--jobs``, ``--points``, ``--json``, ``--cache``) and prints the
-  paper-style table.
+  ``ScenarioSpec`` grids and multiprocessing execution, with finished points
+  kept in the one result cache, the queryable SQLite
+  :class:`~repro.store.ResultStore`.
+* :mod:`repro.experiments.runner` — CLI entry point and the one way to run a
+  figure: ``runner <name>`` runs that experiment's grid (``--jobs``,
+  ``--points``, ``--json``, ``--store``) and prints the paper-style table.
 """
 
 from repro.experiments.scenarios import (
@@ -36,7 +38,6 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.sweep import (
     ScenarioSpec,
-    SweepCache,
     SweepResult,
     derive_seed,
     merge_rows,
@@ -55,7 +56,6 @@ __all__ = [
     "run_dumbbell_scenario",
     "run_parking_lot_scenario",
     "ScenarioSpec",
-    "SweepCache",
     "SweepResult",
     "derive_seed",
     "merge_rows",

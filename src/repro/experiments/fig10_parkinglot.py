@@ -19,19 +19,13 @@ policing policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.experiments.scenarios import (
     ParkingLotScenarioConfig,
     run_parking_lot_scenario,
 )
-from repro.experiments.sweep import (
-    ScenarioSpec,
-    SweepCache,
-    merge_rows,
-    register_point,
-    run_sweep,
-)
+from repro.experiments.sweep import ScenarioSpec, register_point
 
 #: (paper label, L1 bps, L2 bps) — scaled from the paper's 160/240 Mbps so
 #: that a Group-A sender's max-min fair share stays at 80 Kbps.
@@ -109,23 +103,6 @@ def grid(
     ]
 
 
-def run(
-    policy: str = "single",
-    capacity_cases: Sequence[tuple] = CAPACITY_CASES,
-    hosts_per_group: int = 10,
-    sim_time: float = 200.0,
-    warmup: float = 100.0,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> List[ParkingLotRow]:
-    """Run the parking-lot sweep for one policing policy."""
-    specs = grid(policy=policy, capacity_cases=capacity_cases,
-                 hosts_per_group=hosts_per_group, sim_time=sim_time,
-                 warmup=warmup, seed=seed)
-    return merge_rows(run_sweep(specs, jobs=jobs, cache=cache, strict=True))
-
-
 def format_table(rows: List[ParkingLotRow], figure: str = "Fig. 10") -> str:
     lines = [f"{figure} — Group-A average throughput (Kbps) in the parking-lot topology"]
     lines.append(f"{'case':12s} {'A user':>10s} {'A attacker':>12s} {'fair share':>12s}")
@@ -135,11 +112,3 @@ def format_table(rows: List[ParkingLotRow], figure: str = "Fig. 10") -> str:
             f"{row.group_a_attacker_kbps:12.1f} {row.fair_share_kbps:12.1f}"
         )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table(run(policy="single")))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

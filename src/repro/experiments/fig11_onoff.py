@@ -16,19 +16,13 @@ always-on fair share with a scaled-down sender count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.experiments.scenarios import (
     DumbbellScenarioConfig,
     run_dumbbell_scenario,
 )
-from repro.experiments.sweep import (
-    ScenarioSpec,
-    SweepCache,
-    merge_rows,
-    register_point,
-    run_sweep,
-)
+from repro.experiments.sweep import ScenarioSpec, register_point
 
 TON_VALUES: Sequence[float] = (0.5, 4.0)
 TOFF_VALUES: Sequence[float] = (1.5, 10.0, 50.0, 100.0)
@@ -108,26 +102,6 @@ def grid(
     ]
 
 
-def run(
-    ton_values: Sequence[float] = TON_VALUES,
-    toff_values: Sequence[float] = TOFF_VALUES,
-    num_source_as: int = 4,
-    hosts_per_as: int = 3,
-    bottleneck_bps: float = 1.2e6,
-    sim_time: float = 300.0,
-    warmup: float = 100.0,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> List[Fig11Row]:
-    """Run the on-off attack sweep under NetFence."""
-    specs = grid(ton_values=ton_values, toff_values=toff_values,
-                 num_source_as=num_source_as, hosts_per_as=hosts_per_as,
-                 bottleneck_bps=bottleneck_bps, sim_time=sim_time,
-                 warmup=warmup, seed=seed)
-    return merge_rows(run_sweep(specs, jobs=jobs, cache=cache, strict=True))
-
-
 def format_table(rows: List[Fig11Row]) -> str:
     lines = ["Fig. 11 — average user throughput (Kbps) under synchronized on-off attacks"]
     toffs = sorted({row.toff_s for row in rows})
@@ -142,11 +116,3 @@ def format_table(rows: List[Fig11Row]) -> str:
     if rows:
         lines.append(f"always-on fair share: {rows[0].always_on_fair_share_kbps:.1f} Kbps")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -33,19 +33,13 @@ always-on ceiling, which is the robust-AIMD design goal (§4.3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.experiments.scenarios import (
     DumbbellScenarioConfig,
     run_dumbbell_scenario,
 )
-from repro.experiments.sweep import (
-    ScenarioSpec,
-    SweepCache,
-    merge_rows,
-    register_point,
-    run_sweep,
-)
+from repro.experiments.sweep import ScenarioSpec, register_point
 
 #: Deployment fractions reported on the x-axis.
 FRACTIONS: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -143,22 +137,6 @@ def grid(
     ]
 
 
-def run(
-    systems: Sequence[str] = SYSTEMS,
-    fractions: Sequence[float] = FRACTIONS,
-    strategies: Sequence[str] = STRATEGIES,
-    sim_time: float = 150.0,
-    warmup: float = 50.0,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> List[Fig12Row]:
-    """Run the deployment sweep and return one row per grid point."""
-    specs = grid(systems=systems, fractions=fractions, strategies=strategies,
-                 sim_time=sim_time, warmup=warmup, seed=seed)
-    return merge_rows(run_sweep(specs, jobs=jobs, cache=cache, strict=True))
-
-
 def format_table(rows: List[Fig12Row]) -> str:
     lines = ["Fig. 12 — legitimate-traffic share vs. NetFence deployment fraction"]
     fractions = sorted({row.deployment_fraction for row in rows})
@@ -174,11 +152,3 @@ def format_table(rows: List[Fig12Row]) -> str:
             cells.append(f"{match[0].legit_share:8.3f}" if match else f"{'-':>8s}")
         lines.append(f"{system + ' / ' + strategy:24s}" + "".join(cells))
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

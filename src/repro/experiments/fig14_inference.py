@@ -12,16 +12,10 @@ fundamental limitation discussed at the end of Appendix B.2).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.experiments.fig10_parkinglot import (
-    CAPACITY_CASES,
-    ParkingLotRow,
-    format_table,
-    grid as grid_parkinglot,
-    run as run_parkinglot,
-)
-from repro.experiments.sweep import ScenarioSpec, SweepCache
+from repro.experiments.fig10_parkinglot import CAPACITY_CASES, grid as grid_parkinglot
+from repro.experiments.sweep import ScenarioSpec
 
 
 def grid(
@@ -39,32 +33,3 @@ def grid(
         warmup=warmup,
         seed=seed,
     )
-
-
-def run(
-    capacity_cases: Sequence[tuple] = CAPACITY_CASES,
-    hosts_per_group: int = 10,
-    sim_time: float = 200.0,
-    warmup: float = 100.0,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> List[ParkingLotRow]:
-    return run_parkinglot(
-        policy="inference",
-        capacity_cases=capacity_cases,
-        hosts_per_group=hosts_per_group,
-        sim_time=sim_time,
-        warmup=warmup,
-        seed=seed,
-        jobs=jobs,
-        cache=cache,
-    )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table(run(), figure="Fig. 14 (Appendix B.2, rate-limiter inference)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

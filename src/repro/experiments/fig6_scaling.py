@@ -37,13 +37,7 @@ from repro.experiments.scenarios import (
     ASGraphScenarioConfig,
     run_asgraph_scenario,
 )
-from repro.experiments.sweep import (
-    ScenarioSpec,
-    SweepCache,
-    merge_rows,
-    register_point,
-    run_sweep,
-)
+from repro.experiments.sweep import ScenarioSpec, register_point
 
 #: Topology sizes (number of ASes) on the state-scaling axis.
 TOPOLOGY_SIZES: Sequence[int] = (16, 32, 64)
@@ -159,24 +153,6 @@ def grid(
     ]
 
 
-def run(
-    systems: Sequence[str] = SYSTEMS,
-    topology_sizes: Sequence[int] = TOPOLOGY_SIZES,
-    botnet_sizes: Sequence[int] = BOTNET_SIZES,
-    placements: Sequence[str] = PLACEMENTS,
-    sim_time: float = 60.0,
-    warmup: float = 20.0,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> List[Fig6ScalingRow]:
-    """Run the scaling sweep and return one row per grid point."""
-    specs = grid(systems=systems, topology_sizes=topology_sizes,
-                 botnet_sizes=botnet_sizes, placements=placements,
-                 sim_time=sim_time, warmup=warmup, seed=seed)
-    return merge_rows(run_sweep(specs, jobs=jobs, cache=cache, strict=True))
-
-
 def format_table(rows: List[Fig6ScalingRow]) -> str:
     lines = ["fig6_scaling — legit share and policing state vs #AS and botnet size",
              f"{'system':10s}{'placement':20s}{'#AS':>6s}{'bots':>10s}"
@@ -189,11 +165,3 @@ def format_table(rows: List[Fig6ScalingRow]) -> str:
             f"{row.limiter_state_total:>10d}{row.state_per_as:>8.2f}"
             f"{row.bottleneck_queue_state:>9d}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -21,15 +21,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
-from repro.experiments.sweep import (
-    ScenarioSpec,
-    SweepCache,
-    merge_rows,
-    register_point,
-    run_sweep,
-)
+from repro.experiments.sweep import ScenarioSpec, register_point
 
 from repro.baselines.tva import Capability, TvaRouter, tva_queue_factory
 from repro.core.access import NetFenceAccessRouter
@@ -208,17 +202,6 @@ def grid(iterations: int = 2000, seed: int = 1) -> List[ScenarioSpec]:
             for attack in (False, True)]
 
 
-def run(
-    iterations: int = 2000,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> List[OverheadRow]:
-    """Produce the Fig. 7 table (one row per combination)."""
-    return merge_rows(run_sweep(grid(iterations=iterations, seed=seed),
-                                jobs=jobs, cache=cache, strict=True))
-
-
 def format_table(rows: List[OverheadRow]) -> str:
     lines = ["Fig. 7 — router processing overhead (ns/pkt, Python reimplementation)"]
     lines.append(f"{'system':10s} {'packet':8s} {'router':11s} {'attack':7s} {'ns/pkt':>10s}")
@@ -228,11 +211,3 @@ def format_table(rows: List[OverheadRow]) -> str:
             f"{'yes' if row.attack else 'no':7s} {row.ns_per_packet:10.1f}"
         )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

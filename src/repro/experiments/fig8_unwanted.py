@@ -20,20 +20,14 @@ bottleneck) points reported, mirroring the paper's x-axis labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.experiments.scenarios import (
     DumbbellScenarioConfig,
     DumbbellScenarioResult,
     run_dumbbell_scenario,
 )
-from repro.experiments.sweep import (
-    ScenarioSpec,
-    SweepCache,
-    merge_rows,
-    register_point,
-    run_sweep,
-)
+from repro.experiments.sweep import ScenarioSpec, register_point
 
 #: (paper x-axis label, number of source ASes, hosts per AS, bottleneck bps).
 #: The per-sender fair share halves from step to step exactly as in the
@@ -126,19 +120,6 @@ def grid(
     ]
 
 
-def run(
-    systems: Sequence[str] = SYSTEMS,
-    scale_steps: Sequence[tuple] = SCALE_STEPS,
-    sim_time: float = 60.0,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> List[Fig8Row]:
-    """Run the Fig. 8 sweep and return one row per (system, scale) point."""
-    specs = grid(systems=systems, scale_steps=scale_steps, sim_time=sim_time, seed=seed)
-    return merge_rows(run_sweep(specs, jobs=jobs, cache=cache, strict=True))
-
-
 def format_table(rows: List[Fig8Row]) -> str:
     lines = ["Fig. 8 — average 20 KB transfer time (s) under unwanted-traffic floods"]
     scales = sorted({row.scale_label for row in rows},
@@ -155,11 +136,3 @@ def format_table(rows: List[Fig8Row]) -> str:
     completion = min(row.completion_ratio for row in rows) if rows else 0.0
     lines.append(f"minimum completion ratio across all runs: {completion:.2f}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -21,19 +21,13 @@ to 1 for every system).  Expected shape (paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.experiments.scenarios import (
     DumbbellScenarioConfig,
     run_dumbbell_scenario,
 )
-from repro.experiments.sweep import (
-    ScenarioSpec,
-    SweepCache,
-    merge_rows,
-    register_point,
-    run_sweep,
-)
+from repro.experiments.sweep import ScenarioSpec, register_point
 
 #: (paper x-axis label, #source ASes, hosts per AS, bottleneck bps) — the
 #: per-sender fair share spans the paper's 400 Kbps → 50 Kbps range.
@@ -133,22 +127,6 @@ def grid(
     ]
 
 
-def run(
-    systems: Sequence[str] = SYSTEMS,
-    workloads: Sequence[str] = WORKLOADS,
-    scale_steps: Sequence[tuple] = SCALE_STEPS,
-    sim_time: float = 240.0,
-    warmup: float = 120.0,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> List[Fig9Row]:
-    """Run the Fig. 9 sweep (9a: longrun, 9b: web)."""
-    specs = grid(systems=systems, workloads=workloads, scale_steps=scale_steps,
-                 sim_time=sim_time, warmup=warmup, seed=seed)
-    return merge_rows(run_sweep(specs, jobs=jobs, cache=cache, strict=True))
-
-
 def format_table(rows: List[Fig9Row]) -> str:
     lines = ["Fig. 9 — throughput ratio (legitimate user / attacker) under colluding attacks"]
     for workload in sorted({r.workload for r in rows}):
@@ -165,11 +143,3 @@ def format_table(rows: List[Fig9Row]) -> str:
                 cells.append(f"{match[0].throughput_ratio:10.2f}" if match else f"{'-':>10s}")
             lines.append(f"{system:10s}" + "".join(cells))
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

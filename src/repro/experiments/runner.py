@@ -17,10 +17,9 @@ executed by :mod:`repro.experiments.sweep`:
   the formatted table) is byte-identical to a serial run.
 * ``--points N`` keeps only the first N grid points — handy for smoke tests.
 * ``--json`` emits result rows as JSON instead of the paper-style table.
-* ``--cache [DIR]`` caches per-point results on disk keyed on
-  (experiment, params, seed), making re-runs instant.
-* ``--store PATH`` routes reads and writes through the queryable SQLite
-  :class:`~repro.store.ResultStore` instead of the pickle cache.
+* ``--store PATH`` keeps finished points in the SQLite
+  :class:`~repro.store.ResultStore`, the one result cache: a re-run serves
+  them from it, and ``export``/``status`` query it.
 
 Distributed execution (see :mod:`repro.experiments.distrib`)::
 
@@ -66,12 +65,7 @@ from repro.experiments import (
     fig14_inference,
     theorem_fairshare,
 )
-from repro.experiments.sweep import (
-    ScenarioSpec,
-    SweepCache,
-    merge_rows,
-    run_sweep,
-)
+from repro.experiments.sweep import ScenarioSpec, merge_rows, run_sweep
 
 
 @dataclass(frozen=True)
@@ -182,9 +176,6 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
     "theorem": ExperimentDef("theorem", _theorem_grid, theorem_fairshare.format_table),
 }
 
-#: Default directory for ``--cache`` when no path is given.
-DEFAULT_CACHE_DIR = ".netfence-sweep-cache"
-
 #: Subcommands handled by :mod:`repro.experiments.distrib`.
 DISTRIB_COMMANDS = ("submit", "worker", "export", "status", "compact")
 
@@ -255,13 +246,10 @@ def main(argv=None) -> int:
                         help="run only the first N grid points of each experiment")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit result rows as JSON instead of tables")
-    parser.add_argument("--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
-                        metavar="DIR",
-                        help="cache per-point results on disk (default dir: "
-                             f"{DEFAULT_CACHE_DIR})")
     parser.add_argument("--store", default=None, metavar="PATH",
-                        help="read/write points through the SQLite result store "
-                             "(queryable via the export/status subcommands)")
+                        help="serve finished points from, and commit new ones to, "
+                             "the SQLite result store (queryable via the "
+                             "export/status subcommands)")
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -273,19 +261,13 @@ def main(argv=None) -> int:
     if args.points is not None and args.points < 1:
         parser.error("--points must be >= 1")
 
-    if args.cache and args.store:
-        parser.error("--cache and --store are mutually exclusive")
-    cache = None
-    if args.cache:
-        try:
-            cache = SweepCache(args.cache)
-        except OSError as exc:
-            parser.error(f"cannot use cache directory {args.cache!r}: {exc}")
-    elif args.store:
+    store = None
+    if args.store:
+        # Deferred import: plain figure runs never load sqlite3.
         from repro.store import ResultStore
 
         try:
-            cache = ResultStore(args.store)
+            store = ResultStore(args.store)
         except OSError as exc:
             parser.error(f"cannot open result store {args.store!r}: {exc}")
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -297,7 +279,7 @@ def main(argv=None) -> int:
         if args.points is not None:
             specs = specs[: args.points]
         started = time.time()
-        results = run_sweep(specs, jobs=args.jobs, cache=cache)
+        results = run_sweep(specs, jobs=args.jobs, cache=store)
         rows = merge_rows(results)
         elapsed = time.time() - started
         cached_points = sum(1 for r in results if r.cached)
@@ -319,7 +301,7 @@ def main(argv=None) -> int:
             })
         else:
             print(experiment.format_rows(rows))
-            suffix = f", {cached_points}/{len(specs)} points cached" if cache else ""
+            suffix = f", {cached_points}/{len(specs)} points cached" if store is not None else ""
             if failures:
                 suffix += f", {len(failures)} points FAILED"
             print(f"[{name} completed in {elapsed:.1f}s with --jobs {args.jobs}{suffix}]\n")

@@ -232,12 +232,6 @@ class DumbbellScenarioResult:
         return traffic_share(list(self.user_throughputs.values()),
                              self.config.bottleneck_bps)
 
-    @property
-    def attack_share(self) -> float:
-        """Attack traffic's share of the bottleneck capacity."""
-        return traffic_share(list(self.attacker_throughputs.values()),
-                             self.config.bottleneck_bps)
-
     def _split_users(self, enabled: bool) -> Dict[str, float]:
         chosen = set(self.enabled_as)
         return {
@@ -773,11 +767,6 @@ class ASGraphScenarioResult:
     def legit_share(self) -> float:
         """Legitimate users' share of the bottleneck capacity."""
         return traffic_share(list(self.user_throughputs.values()),
-                             self.config.bottleneck_bps)
-
-    @property
-    def attack_share(self) -> float:
-        return traffic_share(list(self.attacker_throughputs.values()),
                              self.config.bottleneck_bps)
 
     @property

@@ -17,8 +17,6 @@ or across worker processes:
 * :func:`run_sweep` — executes a list of specs with ``jobs`` workers and
   returns one :class:`SweepResult` per spec **in spec order**, so the merged
   rows are byte-identical regardless of parallelism.
-* :class:`SweepCache` — an on-disk result cache keyed on
-  ``(experiment, params, seed)`` so re-runs are instant.
 
 Determinism notes: per-point randomness must flow exclusively from the
 spec's ``seed`` (use :func:`derive_seed` to fan a base seed out across grid
@@ -35,24 +33,25 @@ import json
 import logging
 import multiprocessing
 import os
-import pickle
 import socket
-import tempfile
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
-from repro.analysis.rows import row_schema
 from repro.obs.spans import active_span_recorder
 from repro.seeding import derive_seed
+
+if TYPE_CHECKING:  # the store imports this module; figure runs never need sqlite3
+    from repro.store.result_store import ResultStore
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "EXPERIMENT_MODULES",
     "ScenarioSpec",
-    "SweepCache",
     "SweepError",
     "SweepResult",
     "commit_result",
@@ -188,65 +187,6 @@ def merge_rows(results: Iterable[SweepResult]) -> List[Any]:
     return merged
 
 
-class SweepCache:
-    """On-disk result cache keyed on ``(experiment, params, seed)``.
-
-    Entries are pickles of the row list, written atomically so concurrent
-    workers and interrupted runs can never leave a truncated entry behind.
-
-    Every entry also records the *row schema* — for dataclass rows, the
-    class identity and its field names at ``put`` time.  ``get`` recomputes
-    the schema of the unpickled rows against the currently imported classes
-    and treats any mismatch as a miss: unpickling bypasses ``__init__``, so
-    without this check a row dataclass that gained or lost a field would be
-    served from cache as a silently stale object.
-    """
-
-    #: Bump to invalidate all existing entries when the cache format changes.
-    VERSION = 2
-
-    def __init__(self, root: str) -> None:
-        self.root = os.path.abspath(root)
-        os.makedirs(self.root, exist_ok=True)
-
-    def _path(self, spec: ScenarioSpec) -> str:
-        return os.path.join(
-            self.root, f"{spec.experiment}-v{self.VERSION}-{spec.cache_key()[:24]}.pkl"
-        )
-
-    #: Shared with :class:`repro.store.ResultStore`, which applies the same
-    #: staleness rule to its records.
-    _row_schema = staticmethod(row_schema)
-
-    def get(self, spec: ScenarioSpec) -> Optional[List[Any]]:
-        path = self._path(spec)
-        try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return None
-        if not isinstance(payload, dict) or "rows" not in payload:
-            return None
-        rows = payload["rows"]
-        if payload.get("schema") != self._row_schema(rows):
-            return None  # row dataclasses changed since this entry was written
-        return rows
-
-    def put(self, spec: ScenarioSpec, rows: List[Any]) -> None:
-        path = self._path(spec)
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"schema": self._row_schema(rows), "rows": rows}, fh)
-            os.replace(tmp_path, path)
-        except (OSError, pickle.PicklingError):
-            # The cache is best-effort: a failed write must never fail a sweep.
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-
-
 def default_worker_id() -> str:
     """``host:pid`` of the executing process, for result-store provenance."""
     return f"{socket.gethostname()}:{os.getpid()}"
@@ -255,7 +195,7 @@ def default_worker_id() -> str:
 class SweepError(RuntimeError):
     """Raised by ``run_sweep(strict=True)`` when any grid point failed.
 
-    Completed points were already committed to the cache/store before this
+    Completed points were already committed to the result store before this
     is raised; ``results`` holds every per-point outcome and ``failures``
     the failed subset.
     """
@@ -333,21 +273,11 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def commit_result(cache: Any, result: SweepResult) -> None:
-    """Commit one finished point to a cache or store (errors are not cached).
-
-    Accepts anything with the ``SweepCache`` ``put(spec, rows)`` protocol;
-    objects that also expose ``put_result(result)`` — the
-    :class:`repro.store.ResultStore` — additionally receive the point's wall
-    time and worker id.
-    """
-    if cache is None or result.error is not None:
-        return
-    put_result = getattr(cache, "put_result", None)
-    if put_result is not None:
-        put_result(result)
-    else:
-        cache.put(result.spec, result.rows)
+def commit_result(cache: Optional["ResultStore"], result: SweepResult) -> None:
+    """Commit one finished point, with its wall time and worker id, to the
+    result store (errors are not stored)."""
+    if cache is not None and result.error is None:
+        cache.put_result(result)
 
 
 def _registering_module(spec: ScenarioSpec) -> str:
@@ -363,7 +293,7 @@ def _registering_module(spec: ScenarioSpec) -> str:
 def run_sweep(
     specs: Sequence[ScenarioSpec],
     jobs: int = 1,
-    cache: Optional[Any] = None,
+    cache: Optional["ResultStore"] = None,
     strict: bool = False,
 ) -> List[SweepResult]:
     """Execute every spec and return results in spec order.
@@ -375,13 +305,11 @@ def run_sweep(
     A raising point no longer aborts the sweep mid-flight: its result
     carries the traceback in ``error`` and contributes no rows, while every
     other point completes normally.  Finished points are committed to
-    ``cache`` (a :class:`SweepCache` or :class:`repro.store.ResultStore`)
-    **as they finish** — ``imap_unordered`` under the hood — so an
-    interrupted or partially failing parallel sweep keeps all completed
-    work.  With ``strict=True`` a :class:`SweepError` is raised at the end
+    ``cache`` (a :class:`repro.store.ResultStore`) **as they finish** —
+    ``imap_unordered`` under the hood — so an interrupted or partially
+    failing parallel sweep keeps all completed work.  With ``strict=True`` a :class:`SweepError` is raised at the end
     when any point failed (after the commits), for callers that consume the
-    merged rows without inspecting per-point errors — e.g. the figure
-    modules' ``run()`` helpers.
+    merged rows without inspecting per-point errors.
     """
     results: List[Optional[SweepResult]] = [None] * len(specs)
     pending: List[Tuple[int, ScenarioSpec]] = []

@@ -16,17 +16,11 @@ This experiment checks the bound two ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.convergence import AimdFluidModel, FluidSender, fair_share_lower_bound
 from repro.experiments.scenarios import DumbbellScenarioConfig, run_dumbbell_scenario
-from repro.experiments.sweep import (
-    ScenarioSpec,
-    SweepCache,
-    merge_rows,
-    register_point,
-    run_sweep,
-)
+from repro.experiments.sweep import ScenarioSpec, register_point
 
 
 @dataclass
@@ -178,10 +172,6 @@ def grid(
     return specs
 
 
-def run(jobs: int = 1, cache: Optional[SweepCache] = None) -> List[TheoremRow]:
-    return merge_rows(run_sweep(grid(), jobs=jobs, cache=cache, strict=True))
-
-
 def format_table(rows: List[TheoremRow]) -> str:
     lines = ["Theorem §3.4 — guaranteed fair share ν·ρ·C/(G+B)"]
     lines.append(f"{'model':8s} {'strategy':16s} {'G':>4s} {'B':>4s} "
@@ -193,11 +183,3 @@ def format_table(rows: List[TheoremRow]) -> str:
             f"{row.min_user_rate_bps / 1e3:16.1f} {'yes' if row.satisfied else 'NO':>4s}"
         )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,7 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.flow.callgraph import CallGraph
 
 #: Directories never descended into when expanding path arguments.
-_SKIP_DIRS = {"__pycache__", ".git", ".netfence-sweep-cache"}
+_SKIP_DIRS = {"__pycache__", ".git"}
 
 
 @dataclass

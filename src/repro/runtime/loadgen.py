@@ -101,6 +101,9 @@ class _HostEndpoint(asyncio.DatagramProtocol):
         self.host = host
 
     def connection_made(self, transport: asyncio.DatagramTransport) -> None:
+        # The policer's reply frames are small; asyncio's default 256 KiB read
+        # buffer page-faults per datagram in a small heap (as in serve.py).
+        transport.max_size = 65536  # type: ignore[attr-defined]
         self.host.transport = transport
 
     def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:

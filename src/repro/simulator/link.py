@@ -94,10 +94,6 @@ class Link:
         if accepted and not self._busy:
             self._start_next_transmission()
 
-    def serialization_delay(self, packet: Packet) -> float:
-        """Time to clock the packet onto the wire."""
-        return packet.size_bytes * 8.0 / self.capacity_bps
-
     def _start_next_transmission(self) -> None:
         packet = self._dequeue()
         if packet is None:
@@ -105,8 +101,9 @@ class Link:
             self._schedule_poke_if_needed()
             return
         self._busy = True
-        # Inlined serialization_delay(); scheduled on the no-handle fast path
-        # — transmission-end events are never cancelled.
+        # Time to clock the packet onto the wire, computed inline (this runs
+        # once per packet-hop); scheduled on the no-handle fast path —
+        # transmission-end events are never cancelled.
         tx_time = packet.size_bytes * 8.0 / self.capacity_bps
         self._schedule_fast(tx_time, self._finish_transmission, (packet,))
 

@@ -175,14 +175,6 @@ class Router(Node):
     def route_for(self, packet: Packet) -> Optional[Link]:
         return self.routes.get(packet.dst)
 
-    def is_from_my_hosts(self, packet: Packet, from_link: Optional[Link]) -> bool:
-        """True when the packet entered the network at this router."""
-        # Set-membership first: transit routers have no local hosts, so the
-        # common case short-circuits before the isinstance check.
-        if packet.src not in self.local_hosts:
-            return False
-        return from_link is None or isinstance(from_link.src_node, Host)
-
     # -- hooks ----------------------------------------------------------------
     def admit_from_host(self, packet: Packet, from_link: Optional[Link]) -> Optional[bool]:
         """Access-router policing hook.  Default: admit everything."""
@@ -198,8 +190,9 @@ class Router(Node):
 
     # -- forwarding -------------------------------------------------------------
     def receive(self, packet: Packet, from_link: Optional[Link]) -> None:
-        # is_from_my_hosts() inlined — this dispatch runs for every packet
-        # arriving at every router.
+        # Did the packet enter the network here?  Tested inline because this
+        # dispatch runs for every packet arriving at every router; the set
+        # test comes first since transit routers have no local hosts.
         if packet.src in self.local_hosts and (
             from_link is None or isinstance(from_link.src_node, Host)
         ):

@@ -250,20 +250,10 @@ class REDQueue(PacketQueue):
         self._bytes = 0
         self._count_since_drop = 0
 
-    def _update_average(self) -> None:
-        self.avg_queue = (1 - self.wq) * self.avg_queue + self.wq * self._bytes
-
-    def _drop_probability(self) -> float:
-        if self.avg_queue < self.minthresh:
-            return 0.0
-        if self.avg_queue >= self.maxthresh:
-            return 1.0
-        span = self.maxthresh - self.minthresh
-        return self.max_p * (self.avg_queue - self.minthresh) / span
-
     def enqueue(self, packet: Packet) -> bool:
-        # ``_update_average`` and ``_drop_probability`` inlined: RED guards
-        # the bottleneck's regular channel, so this runs for every arrival.
+        # EWMA update and drop probability in one straight-line pass: RED
+        # guards the bottleneck's regular channel, so this runs for every
+        # arrival and a helper call per step would sit on the hot path.
         avg = (1 - self.wq) * self.avg_queue + self.wq * self._bytes
         self.avg_queue = avg
         size = packet.size_bytes
@@ -369,13 +359,6 @@ class PriorityChannelQueue(PacketQueue):
                 self.stats.record_dequeue(packet)
                 return packet
         return None
-
-    def dequeue_channel(self, channel: str) -> Optional[Packet]:
-        """Pop the next packet of a specific channel (used by rate-capped links)."""
-        packet = self.queues[channel].dequeue()
-        if packet is not None:
-            self.stats.record_dequeue(packet)
-        return packet
 
     def channel_length(self, channel: str) -> int:
         return len(self.queues[channel])

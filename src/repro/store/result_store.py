@@ -17,11 +17,13 @@ record rather than overwriting the old one, so the database doubles as a
 perf trajectory (wall time per point over time, per worker).  Readers that
 want "the" result of a point take the newest record for its cache key.
 
-Reads of typed rows apply the same staleness rule as ``SweepCache``: the
-row-schema fingerprint recorded at write time must match the fingerprint
-recomputed from the unpickled rows against the currently imported classes,
-otherwise the record is treated as missing (``get`` returns ``None``).  The
-flattened JSON rows remain queryable either way.
+Reads of typed rows are checked for staleness: the row-schema fingerprint
+recorded at write time must match the fingerprint recomputed from the
+unpickled rows against the currently imported classes, otherwise the record
+is treated as missing (``get`` returns ``None``).  Unpickling bypasses
+``__init__``, so without the check a row dataclass that gained or lost a
+field would be served as a silently stale object.  The flattened JSON rows
+remain queryable either way.
 
 Concurrency: every public method opens its own short-lived connection, so
 one ``ResultStore`` object may be shared across threads, and any number of
@@ -157,10 +159,9 @@ def _worker_payload(rows: Sequence[Dict[str, Any]],
 class ResultStore:
     """Append-only SQLite result store keyed by ``ScenarioSpec.cache_key()``.
 
-    Implements the ``get(spec)`` / ``put(spec, rows)`` protocol of
-    :class:`~repro.experiments.sweep.SweepCache`, so it can be passed
-    wherever a sweep cache is accepted, plus :meth:`put_result` which also
-    records per-point wall time and the committing worker id.
+    ``run_sweep(cache=store)`` serves finished points through :meth:`get`
+    and commits new ones through :meth:`put_result`, which also records
+    per-point wall time and the committing worker id.
     """
 
     #: Bump to segregate databases when the on-disk layout changes.
@@ -217,7 +218,7 @@ class ResultStore:
         )
 
     def put(self, spec: ScenarioSpec, rows: List[Any]) -> int:
-        """SweepCache-compatible write (no timing / worker metadata)."""
+        """Append one row list for ``spec`` (no timing / worker metadata)."""
         return self._append(spec, rows, elapsed_s=0.0, worker_id=self.worker_id)
 
     def _append(self, spec: ScenarioSpec, rows: List[Any], elapsed_s: float,
@@ -254,7 +255,8 @@ class ResultStore:
         """Newest stored row list for the spec, or ``None``.
 
         A record whose row classes have since changed shape (stale schema
-        fingerprint) is treated as missing, exactly like ``SweepCache``.
+        fingerprint) or no longer resolve (unpickling fails) is treated as
+        missing.
         """
         with contextlib.closing(self._connect()) as conn, conn:
             record = conn.execute(

@@ -671,7 +671,8 @@ def test_cli_export_fails_on_missing_points_unless_allowed(tmp_path, capsys,
 
 def test_cli_run_with_store_then_export_matches(tmp_path, capsys,
                                                 bench_experiment):
-    """`runner <exp> --store` fills the same store `runner export` reads."""
+    """`runner <exp> --store` fills the same store `runner export` reads,
+    and a re-run is served from it."""
     store_path = str(tmp_path / "s.sqlite")
     assert runner.main(["bench", "--store", store_path, "--json"]) == 0
     run_payload = json.loads(capsys.readouterr().out)
@@ -679,6 +680,11 @@ def test_cli_run_with_store_then_export_matches(tmp_path, capsys,
                         "--format", "json"]) == 0
     export_payload = json.loads(capsys.readouterr().out)
     assert export_payload[0]["rows"] == run_payload[0]["rows"]
+    # A second run is served entirely from the store, with identical rows.
+    assert runner.main(["bench", "--store", store_path, "--json"]) == 0
+    rerun_payload = json.loads(capsys.readouterr().out)
+    assert rerun_payload[0]["cached_points"] == rerun_payload[0]["points"]
+    assert rerun_payload[0]["rows"] == run_payload[0]["rows"]
 
 
 def test_cli_compact_drops_superseded_executions(tmp_path, capsys,
@@ -706,12 +712,6 @@ def test_cli_worker_retries_flag(tmp_path, capsys, monkeypatch):
     assert "1 completed, 0 failed, 1 retried" in out
     (record,) = ResultStore(store_path).point_records()
     assert record.attempt == 2
-
-
-def test_cli_rejects_cache_plus_store(tmp_path, bench_experiment):
-    with pytest.raises(SystemExit):
-        runner.main(["bench", "--cache", str(tmp_path / "c"),
-                     "--store", str(tmp_path / "s.sqlite")])
 
 
 def test_cli_status_requires_a_target():

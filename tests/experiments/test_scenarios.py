@@ -15,6 +15,7 @@ from repro.experiments.scenarios import (
     run_dumbbell_scenario,
     run_parking_lot_scenario,
 )
+from repro.experiments.sweep import merge_rows, run_sweep
 
 
 def tiny_dumbbell(system, **overrides):
@@ -103,7 +104,7 @@ def test_parking_lot_scenario_runs_all_policies():
 
 
 def test_fig7_overhead_rows_cover_all_combinations():
-    rows = fig7_overhead.run(iterations=50)
+    rows = merge_rows(run_sweep(fig7_overhead.grid(iterations=50), strict=True))
     assert len(rows) == 12
     assert all(row.ns_per_packet > 0 for row in rows)
     table = fig7_overhead.format_table(rows)

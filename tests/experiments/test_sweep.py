@@ -8,7 +8,6 @@ import pytest
 from repro.experiments import fig8_unwanted, fig9_colluding, runner, theorem_fairshare
 from repro.experiments.sweep import (
     ScenarioSpec,
-    SweepCache,
     derive_seed,
     execute_spec,
     merge_rows,
@@ -16,6 +15,7 @@ from repro.experiments.sweep import (
     resolve_point,
     run_sweep,
 )
+from repro.store import ResultStore
 
 
 @register_point("_test_square")
@@ -134,12 +134,12 @@ def test_run_sweep_keeps_completed_points_when_one_raises(tmp_path, jobs):
     """Regression: under ``jobs > 1`` the old ``pool.map`` propagated the
     first exception and every completed point's work (and cache entry) was
     lost.  Now the bad point carries the traceback in ``error`` and every
-    good point is returned *and cached*."""
-    cache = SweepCache(str(tmp_path / "cache"))
+    good point is returned *and stored*."""
+    store = ResultStore(str(tmp_path / "s.sqlite"))
     marker = tmp_path / "ran.txt"
     specs = [ScenarioSpec.make("_test_faulty", value=v, marker_file=str(marker))
              for v in (2, -1, 3, 4)]
-    results = run_sweep(specs, jobs=jobs, cache=cache)
+    results = run_sweep(specs, jobs=jobs, cache=store)
     assert [r.spec for r in results] == specs
     assert [r.error is None for r in results] == [True, False, True, True]
     assert "strictly negative value" in results[1].error
@@ -150,42 +150,25 @@ def test_run_sweep_keeps_completed_points_when_one_raises(tmp_path, jobs):
     # The three good points were committed incrementally; only the bad one
     # re-runs on the next sweep.
     assert marker.read_text() == "xxx"
-    rerun = run_sweep(specs, jobs=jobs, cache=cache)
+    rerun = run_sweep(specs, jobs=jobs, cache=store)
     assert [r.cached for r in rerun] == [True, False, True, True]
     assert marker.read_text() == "xxx"
 
 
 def test_run_sweep_strict_raises_after_committing_good_points(tmp_path):
-    """Library callers (the figure modules' run() helpers) pass strict=True:
+    """Library callers that consume merged rows blind pass strict=True:
     a failed point raises instead of silently truncating the merged rows,
-    but only *after* every completed point was committed to the cache."""
+    but only *after* every completed point was committed to the store."""
     from repro.experiments.sweep import SweepError
 
-    cache = SweepCache(str(tmp_path / "cache"))
+    store = ResultStore(str(tmp_path / "s.sqlite"))
     specs = [ScenarioSpec.make("_test_faulty", value=v) for v in (2, -1, 3)]
     with pytest.raises(SweepError) as excinfo:
-        run_sweep(specs, cache=cache, strict=True)
+        run_sweep(specs, cache=store, strict=True)
     assert "strictly negative value" in str(excinfo.value)
     assert [r.spec for r in excinfo.value.failures] == [specs[1]]
-    assert cache.get(specs[0]) == [{"seed": 1, "square": 4}]
-    assert cache.get(specs[2]) == [{"seed": 1, "square": 9}]
-
-
-def test_figure_run_helpers_are_strict():
-    """Every module-level run() consumes merged rows blind, so each must
-    opt into strict sweeps — a failed point raises instead of producing a
-    silently incomplete table."""
-    import inspect
-
-    from repro.experiments import (
-        fig7_overhead, fig8_unwanted, fig9_colluding, fig10_parkinglot,
-        fig11_onoff, fig12_deployment, theorem_fairshare,
-    )
-
-    for module in (fig7_overhead, fig8_unwanted, fig9_colluding,
-                   fig10_parkinglot, fig11_onoff, fig12_deployment,
-                   theorem_fairshare):
-        assert "strict=True" in inspect.getsource(module.run), module.__name__
+    assert store.get(specs[0]) == [{"seed": 1, "square": 4}]
+    assert store.get(specs[2]) == [{"seed": 1, "square": 9}]
 
 
 def test_run_sweep_captures_unknown_experiment_as_point_error():
@@ -215,78 +198,19 @@ def test_execute_in_worker_warns_when_registering_module_is_missing(caplog):
 
 
 # ---------------------------------------------------------------------------
-# Cache
+# Result store as the sweep's cache
 # ---------------------------------------------------------------------------
 
-def test_sweep_cache_round_trip(tmp_path):
-    cache = SweepCache(str(tmp_path / "cache"))
-    spec = ScenarioSpec.make("_test_square", value=7)
-    assert cache.get(spec) is None
-    cache.put(spec, [{"square": 49}])
-    assert cache.get(spec) == [{"square": 49}]
-
-
-def test_sweep_cache_rejects_rows_from_an_older_row_schema(tmp_path):
-    """Cached rows pickled under an older dataclass layout must be a miss.
-
-    Unpickling a dataclass bypasses ``__init__``, so without the schema
-    check a row class that gained a field would be served from cache as a
-    stale object missing the new attribute.
-    """
-    import dataclasses as dc
-
-    import repro.experiments.sweep as sweep_mod
-
-    @dc.dataclass
-    class _Row:
-        value: int
-
-    # Pickle resolves the class through its module attribute; publish it.
-    _Row.__qualname__ = "_CacheSchemaRow"
-    _Row.__module__ = sweep_mod.__name__
-    sweep_mod._CacheSchemaRow = _Row
-    try:
-        cache = SweepCache(str(tmp_path / "cache"))
-        spec = ScenarioSpec.make("_test_square", value=11)
-        cache.put(spec, [_Row(value=11)])
-        assert cache.get(spec) == [_Row(value=11)]
-
-        # The experiment evolves: the row dataclass gains a field.
-        @dc.dataclass
-        class _RowV2:
-            value: int
-            extra: float = 0.0
-
-        _RowV2.__qualname__ = "_CacheSchemaRow"
-        _RowV2.__module__ = sweep_mod.__name__
-        sweep_mod._CacheSchemaRow = _RowV2
-
-        assert cache.get(spec) is None  # stale schema must not be served
-    finally:
-        del sweep_mod._CacheSchemaRow
-
-
-def test_sweep_cache_rejects_legacy_bare_list_payloads(tmp_path):
-    """Entries written before the schema envelope existed are misses."""
-    import pickle
-
-    cache = SweepCache(str(tmp_path / "cache"))
-    spec = ScenarioSpec.make("_test_square", value=12)
-    with open(cache._path(spec), "wb") as fh:
-        pickle.dump([{"square": 144}], fh)
-    assert cache.get(spec) is None
-
-
 def test_run_sweep_serves_repeat_runs_from_cache(tmp_path):
-    cache = SweepCache(str(tmp_path / "cache"))
+    store = ResultStore(str(tmp_path / "s.sqlite"))
     marker = tmp_path / "ran.txt"
     specs = [ScenarioSpec.make("_test_square", value=v, marker_file=str(marker))
              for v in (2, 3)]
-    first = run_sweep(specs, cache=cache)
+    first = run_sweep(specs, cache=store)
     assert marker.read_text() == "xx"
     assert all(not r.cached for r in first)
 
-    second = run_sweep(specs, cache=cache)
+    second = run_sweep(specs, cache=store)
     assert marker.read_text() == "xx"  # nothing re-ran
     assert all(r.cached for r in second)
     assert merge_rows(second) == merge_rows(first)

@@ -4,8 +4,8 @@ Every registered experiment returns typed dataclass rows.  Whatever values
 those fields take, a row list written to :class:`repro.store.ResultStore`
 must come back field-for-field identical (same class, same values, schema
 fingerprint intact) — and a record written under a *previous* shape of a
-row class must be rejected, mirroring ``SweepCache``'s VERSION-2 staleness
-rule.
+row class must be rejected: unpickling bypasses ``__init__``, so a stale
+record would otherwise be served as an object missing its new fields.
 """
 
 import dataclasses

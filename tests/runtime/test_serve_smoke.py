@@ -27,7 +27,7 @@ import warnings
 from repro.core.header import HEADER_KEY, NetFenceHeader
 from repro.runtime.clock import WallClock
 from repro.runtime.codec import decode_frame, encode_hello, encode_packet
-from repro.runtime.loadgen import run_scenario
+from repro.runtime.loadgen import _make_host, run_scenario
 from repro.runtime.serve import (
     DRAIN_BURST,
     LivePolicer,
@@ -144,15 +144,22 @@ def test_policer_shutdown_drains_and_stops_timers():
 
 
 def test_policer_socket_reads_into_64k_buffers():
-    """Not asyncio's 256 KiB per read, which page-faults in a small heap."""
+    """Not asyncio's 256 KiB per read, which page-faults in a small heap —
+    on the policer's socket and on every loadgen host socket alike."""
     async def scenario():
         policer = await start_policer(port=0, capacity_bps=CAPACITY_BPS)
+        port = policer.transport.get_extra_info("sockname")[1]
         try:
-            return policer.transport.max_size
+            clock = WallClock(asyncio.get_running_loop())
+            host = await _make_host(clock, "h0", ("127.0.0.1", port))
+            try:
+                return policer.transport.max_size, host.transport.max_size
+            finally:
+                host.transport.close()
         finally:
             await policer.shutdown()
 
-    assert asyncio.run(scenario()) == 65536
+    assert asyncio.run(scenario()) == (65536, 65536)
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,7 @@ def test_rows_to_csv_header_and_values(filled):
 # ---------------------------------------------------------------------------
 
 def test_get_rejects_rows_stored_under_a_stale_schema(store):
-    """A row class that changed shape since the write must be a miss,
-    mirroring SweepCache's VERSION-2 behavior."""
+    """A row class that changed shape since the write must be a miss."""
     import repro.store.result_store as store_mod
 
     @dc.dataclass
@@ -207,6 +206,29 @@ def test_get_rejects_rows_stored_under_a_stale_schema(store):
                                 params={"scale": 11}) == [{"value": 11}]
     finally:
         del store_mod._StoreSchemaRow
+
+
+def test_get_returns_none_when_the_row_class_no_longer_resolves(store):
+    """A record whose row class was renamed or removed since the write
+    cannot be unpickled; it reads as missing instead of raising."""
+    import repro.store.result_store as store_mod
+
+    @dc.dataclass
+    class _Row:
+        value: int
+
+    _Row.__qualname__ = "_StoreVanishedRow"
+    _Row.__module__ = store_mod.__name__
+    store_mod._StoreVanishedRow = _Row
+    spec = spec_for(scale=12)
+    try:
+        store.put(spec, [_Row(value=12)])
+        assert store.get(spec) == [_Row(value=12)]
+    finally:
+        del store_mod._StoreVanishedRow
+    assert store.get(spec) is None
+    assert store.query_rows(experiment="_store_test",
+                            params={"scale": 12}) == [{"value": 12}]
 
 
 def test_run_sweep_uses_store_as_cache(tmp_path):
